@@ -1,52 +1,121 @@
 package main
 
 import (
+	"bytes"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"mlq/internal/harness"
 	"mlq/internal/telemetry"
 )
 
 // The experiment plumbing is covered in internal/harness; these tests pin
-// the CLI wiring: every experiment name resolves and runs end to end on a
-// tiny workload.
+// the CLI wiring: every registry entry resolves and runs end to end on a
+// tiny workload. The entries in realExperiments run in
+// TestRunRealExperimentsSmall; TestRunEachExperiment runs the rest.
 func TestRunEachExperiment(t *testing.T) {
-	for _, exp := range []string{"fig8", "fig10", "fig12", "shift", "nn", "leo", "ablate"} {
-		exp := exp
-		t.Run(exp, func(t *testing.T) {
-			if err := run(exp, 1, true, 120, 0, 1, nil, nil, nil); err != nil {
-				t.Fatalf("run(%q): %v", exp, err)
+	for _, e := range harness.Experiments() {
+		e := e
+		if isRealExperiment(e.Name) {
+			continue
+		}
+		t.Run(e.Name, func(t *testing.T) {
+			if e.Substrates && testing.Short() {
+				t.Skip("builds the full substrates")
 			}
+			runAndCheck(t, e.Name)
 		})
 	}
+}
+
+// realExperiments are the slowest end-to-end entries, run together so that
+// -short skips them as one.
+var realExperiments = []string{"fig9", "fig11", "chaos"}
+
+func isRealExperiment(name string) bool {
+	for _, r := range realExperiments {
+		if r == name {
+			return true
+		}
+	}
+	return false
 }
 
 func TestRunRealExperimentsSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the full substrates")
 	}
-	for _, exp := range []string{"fig9", "fig11", "chaos"} {
-		exp := exp
-		t.Run(exp, func(t *testing.T) {
-			if err := run(exp, 1, true, 60, 0, 1, nil, nil, nil); err != nil {
-				t.Fatalf("run(%q): %v", exp, err)
+	for _, name := range realExperiments {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			runAndCheck(t, name)
+		})
+	}
+}
+
+// runAndCheck runs one registry entry on a tiny workload and checks that it
+// printed its completion line.
+func runAndCheck(t *testing.T, name string) {
+	t.Helper()
+	var out bytes.Buffer
+	if err := run(&out, name, 1, true, 60, 0, 1, nil, nil, nil); err != nil {
+		t.Fatalf("run(%q): %v", name, err)
+	}
+	if !strings.Contains(out.String(), "["+name+" completed in ") {
+		t.Errorf("run(%q) printed no completion line:\n%s", name, out.String())
+	}
+}
+
+// goldenExperiments are the deterministic entries that need no substrates;
+// their -quick -queries 120 output is pinned byte for byte.
+var goldenExperiments = []string{"fig8", "shift", "memcurve", "leo", "memwall", "ablate"}
+
+// completedLine matches the wall-clock completion line after each entry.
+var completedLine = regexp.MustCompile(`(?m)^\[.* completed in .*\]\n`)
+
+func TestGoldenOutput(t *testing.T) {
+	for _, name := range goldenExperiments {
+		t.Run(name, func(t *testing.T) {
+			var out bytes.Buffer
+			if err := run(&out, name, 1, true, 120, 0, 1, nil, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			got := completedLine.ReplaceAllString(out.String(), "")
+			want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				t.Errorf("output drifted from testdata/%s.golden:\ngot:\n%s\nwant:\n%s", name, got, want)
 			}
 		})
 	}
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run("nonsense", 1, true, 50, 0, 1, nil, nil, nil); err == nil {
-		t.Error("unknown experiment accepted")
+	err := run(io.Discard, "nonsense", 1, true, 50, 0, 1, nil, nil, nil)
+	if err == nil {
+		t.Fatal("unknown experiment accepted")
+	}
+	var want []string
+	for _, e := range harness.Experiments() {
+		want = append(want, e.Name)
+	}
+	got := strings.Split(err.Error(), "\n  ")[1:]
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("error lists %v, want the registry's %v", got, want)
 	}
 }
 
 func TestRunMemoryOverride(t *testing.T) {
-	if err := run("fig8", 2, true, 100, 4096, 2, nil, nil, nil); err != nil {
+	if err := run(io.Discard, "fig8", 2, true, 100, 4096, 2, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -80,7 +149,7 @@ func TestTelemetryScrapeMidRun(t *testing.T) {
 	tr := telemetry.NewTracer(reg, nil, nil)
 
 	done := make(chan error, 1)
-	go func() { done <- run("chaos", 1, true, 60, 0, 1, reg, tr, nil) }()
+	go func() { done <- run(io.Discard, "chaos", 1, true, 60, 0, 1, reg, tr, nil) }()
 
 	scrape := func() string {
 		t.Helper()

@@ -33,36 +33,14 @@ const (
 	chaosTearScale     = 2.0
 )
 
-// ChaosConfig parameterizes the chaos experiment.
-type ChaosConfig struct {
-	// Rates are the swept fault rates. Default {0, 0.01, 0.05, 0.1, 0.2}.
-	// Rate 0 doubles as the transparency assertion: its NAE must equal a
-	// run with no injector installed at all, bit for bit.
-	Rates []float64
-	// BreakerK overrides the observation guards' consecutive-rejection
-	// threshold (0 = engine.DefaultBreakerK).
-	BreakerK int
-	// Saves is how many catalog save/load cycles each cell performs (the
-	// torn-write fault site fires inside them). Default 5; negative
-	// disables persistence cycling.
-	Saves int
-	// Dir is the scratch directory for catalog files. Empty means a fresh
-	// temp directory, removed afterwards.
-	Dir string
-}
+// chaosRates are the swept fault rates. Rate 0 doubles as the transparency
+// assertion: its NAE must equal a run with no injector installed at all, bit
+// for bit.
+var chaosRates = []float64{0, 0.01, 0.05, 0.1, 0.2}
 
-func (c ChaosConfig) withDefaults() ChaosConfig {
-	if len(c.Rates) == 0 {
-		c.Rates = []float64{0, 0.01, 0.05, 0.1, 0.2}
-	}
-	if c.Saves == 0 {
-		c.Saves = 5
-	}
-	if c.Saves < 0 {
-		c.Saves = 0
-	}
-	return c
-}
+// chaosSaves is how many catalog save/load cycles each cell performs (the
+// torn-write fault site fires inside them).
+const chaosSaves = 5
 
 // ChaosCell is one swept fault rate's outcome: accuracy under fire plus every
 // fault-handling counter that proves the hardening worked instead of silently
@@ -146,9 +124,8 @@ func (s *chaosState) instrument(opts Options) {
 // failures, torn catalog writes). It reports NAE degradation per rate and
 // enforces the hardening contract: no crash at any rate, predictions always
 // valid, and a zero-rate injector indistinguishable from no injector at all.
-func Chaos(cfg ChaosConfig, opts Options) ([]ChaosCell, error) {
+func Chaos(opts Options) ([]ChaosCell, error) {
 	opts = opts.withDefaults()
-	cfg = cfg.withDefaults()
 
 	tdb, err := textdb.Generate(textdb.Config{Seed: opts.Seed})
 	if err != nil {
@@ -191,30 +168,27 @@ func Chaos(cfg ChaosConfig, opts Options) ([]ChaosCell, error) {
 		priors[i] = sum / float64(len(samples))
 	}
 
-	dir := cfg.Dir
-	if dir == "" {
-		dir, err = os.MkdirTemp("", "mlq-chaos-")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
+	dir, err := os.MkdirTemp("", "mlq-chaos-")
+	if err != nil {
+		return nil, err
 	}
+	defer os.RemoveAll(dir)
 
 	// The non-chaos reference run: no injector installed anywhere.
-	baseline, err := runChaosCell(nil, 0, udfs, stores, hists, priors, cfg, opts,
+	baseline, err := runChaosCell(nil, 0, udfs, stores, hists, priors, opts,
 		filepath.Join(dir, "baseline"))
 	if err != nil {
 		return nil, err
 	}
 
 	var cells []ChaosCell
-	for ci, rate := range cfg.Rates {
+	for ci, rate := range chaosRates {
 		inj := faults.New(opts.Seed + int64(ci)*7919)
 		inj.Enable(faults.ObserveCost, faults.SiteConfig{Probability: rate})
 		inj.Enable(faults.UDFPanic, faults.SiteConfig{Probability: rate * chaosPanicScale})
 		inj.Enable(faults.PageRead, faults.SiteConfig{Probability: rate * chaosPageReadScale})
 		inj.Enable(faults.CatalogTear, faults.SiteConfig{Probability: rate * chaosTearScale})
-		cell, err := runChaosCell(inj, rate, udfs, stores, hists, priors, cfg, opts,
+		cell, err := runChaosCell(inj, rate, udfs, stores, hists, priors, opts,
 			filepath.Join(dir, fmt.Sprintf("cell%d", ci)))
 		if err != nil {
 			return nil, fmt.Errorf("chaos: rate %g: %w", rate, err)
@@ -246,7 +220,7 @@ func Chaos(cfg ChaosConfig, opts Options) ([]ChaosCell, error) {
 // runChaosCell drives the feedback loop for every UDF at one fault rate. A
 // nil injector runs the identical loop with every fault site transparent.
 func runChaosCell(inj *faults.Injector, rate float64, udfs []udf.UDF, stores []*pagestore.Store,
-	hists []*histogram.Histogram, priors []float64, cfg ChaosConfig, opts Options, dir string) (ChaosCell, error) {
+	hists []*histogram.Histogram, priors []float64, opts Options, dir string) (ChaosCell, error) {
 	cell := ChaosCell{Rate: rate}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return cell, err
@@ -277,18 +251,12 @@ func runChaosCell(inj *faults.Injector, rate float64, udfs []udf.UDF, stores []*
 		}
 		states[i] = &chaosState{
 			u: u, mlq: mlq, fb: fb, hist: hists[i], prior: priors[i],
-			guard: engine.Guard{K: cfg.BreakerK}, src: src,
+			src: src,
 		}
 		states[i].instrument(opts)
 	}
 
-	saveEvery := 0
-	if cfg.Saves > 0 {
-		saveEvery = opts.Queries / cfg.Saves
-		if saveEvery == 0 {
-			saveEvery = 1
-		}
-	}
+	saveEvery := max(opts.Queries/chaosSaves, 1)
 	path := filepath.Join(dir, "models.cat")
 	var nae metrics.NAE
 	for q := 0; q < opts.Queries; q++ {
@@ -332,7 +300,7 @@ func runChaosCell(inj *faults.Injector, rate float64, udfs []udf.UDF, stores []*
 			}
 			s.gm.Publish(s.guard.Stats())
 		}
-		if saveEvery > 0 && (q+1)%saveEvery == 0 {
+		if (q+1)%saveEvery == 0 {
 			sp := opts.Tracer.Start("save")
 			err := chaosSaveLoad(path, states, inj, &cell, opts)
 			sp.End()

@@ -7,7 +7,7 @@ import (
 	"mlq/internal/core"
 )
 
-// TestChaosLatencySmall runs the slow-disk sweep on a tiny workload. The
+// TestChaosLatencySmall runs the default slow-disk sweep on a tiny workload. The
 // experiment self-checks its three contracts — severity-0 transparency
 // against a plain-loop baseline, journal-replay equivalence per cell, and
 // bounded NAE inflation — so the assertions here are about the sweep's shape
@@ -16,16 +16,14 @@ func TestChaosLatencySmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the full substrates")
 	}
-	opts := Options{Seed: 1, Queries: 150}
-	cfg := ChaosLatencyConfig{Severities: []float64{0, 10}, Dir: t.TempDir()}
-	cells, err := ChaosLatency(cfg, opts)
+	cells, err := ChaosLatency(Options{Seed: 1, Queries: 150})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cells) != 2 {
-		t.Fatalf("got %d cells, want 2", len(cells))
+	if len(cells) != len(chaosLatencySeverities) {
+		t.Fatalf("got %d cells, want %d", len(cells), len(chaosLatencySeverities))
 	}
-	clean, slow := cells[0], cells[1]
+	clean, slow := cells[0], cells[len(cells)-1]
 	if clean.Severity != 0 || slow.Severity != 10 {
 		t.Fatalf("severities %g, %g", clean.Severity, slow.Severity)
 	}
@@ -66,12 +64,10 @@ func TestChaosLatencySmall(t *testing.T) {
 }
 
 func TestRenderChaosLatency(t *testing.T) {
-	var sb strings.Builder
-	RenderChaosLatency(&sb, []ChaosLatencyCell{
+	out := tableString(RenderChaosLatency([]ChaosLatencyCell{
 		{Severity: 0, NAE: 0.12, Executions: 300, Journaled: 300, Replayed: 300},
 		{Severity: 10, NAE: 0.19, Executions: 300, SlowReads: 1200, Retries: 4, ChargedUnits: 12345.5, Journaled: 300, Replayed: 300},
-	})
-	out := sb.String()
+	}))
 	for _, want := range []string{"severity", "10x", "0.1900", "12345.5"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render output missing %q:\n%s", want, out)

@@ -3,61 +3,39 @@ package harness
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"mlq/internal/catalog"
-	"mlq/internal/core"
-	"mlq/internal/dist"
 	"mlq/internal/faults"
-	"mlq/internal/geom"
 	"mlq/internal/journal"
 	"mlq/internal/replica"
 	"mlq/internal/replica/nettransport"
 	"mlq/internal/telemetry"
 )
 
-// ChaosNetConfig parameterizes the networked replication chaos experiment:
-// the ChaosRepl fault stories re-run over real loopback sockets, plus a
-// mid-bootstrap-kill scenario for the resumable snapshot RPC.
-type ChaosNetConfig struct {
-	ChaosReplConfig
-	// HeartbeatEvery is the socket liveness probe cadence. Default 20ms —
-	// fast enough that a scenario's worth of chaos exercises the detector.
-	HeartbeatEvery time.Duration
-	// BarrierTimeout bounds how long a drain barrier may ride a socket
-	// before the watchdog delivers it locally. Default 300ms.
-	BarrierTimeout time.Duration
-	// ChunkBytes is the bootstrap chunk size. Default 1 KiB, small enough
-	// that the default workload's snapshot spans dozens of chunks and a
-	// mid-transfer kill always lands inside the stream.
-	ChunkBytes int
-}
-
-func (c ChaosNetConfig) withDefaults() ChaosNetConfig {
-	c.ChaosReplConfig = c.ChaosReplConfig.withDefaults()
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = 20 * time.Millisecond
-	}
-	if c.BarrierTimeout <= 0 {
-		c.BarrierTimeout = 300 * time.Millisecond
-	}
-	if c.ChunkBytes <= 0 {
-		c.ChunkBytes = 1 << 10
-	}
-	return c
-}
+// The networked replication chaos experiment's socket parameters.
+const (
+	// chaosNetHeartbeatEvery is the socket liveness probe cadence: fast
+	// enough that a scenario's worth of chaos exercises the detector.
+	chaosNetHeartbeatEvery = 20 * time.Millisecond
+	// chaosNetBarrierTimeout bounds how long a drain barrier may ride a
+	// socket before the watchdog delivers it locally.
+	chaosNetBarrierTimeout = 300 * time.Millisecond
+	// chaosNetChunkBytes is the bootstrap chunk size: small enough that the
+	// default workload's snapshot spans dozens of chunks and a mid-transfer
+	// kill always lands inside the stream.
+	chaosNetChunkBytes = 1 << 10
+)
 
 // ChaosNetCell is one networked scenario's outcome: the ChaosRepl
 // convergence accounting plus the socket layer's own counters.
 type ChaosNetCell struct {
 	ChaosReplCell
-	Reconnects       int64
-	HeartbeatsMissed int64
-	FramesDamaged    int64
-	BootstrapChunks  int64
-	BootstrapResumes int64
+	nettransport.NetStats
 }
 
 // ChaosNet runs the replicated-fleet chaos suite over real TCP loopback
@@ -69,69 +47,38 @@ type ChaosNetCell struct {
 // truncation and delay instead of record-level faults. A final
 // mid-bootstrap-kill scenario cuts the snapshot-shipping RPC partway
 // through and asserts the transfer resumes from the last verified chunk.
-func ChaosNet(cfg ChaosNetConfig, opts Options) ([]ChaosNetCell, error) {
-	opts = opts.withDefaults()
-	cfg = cfg.withDefaults()
+func ChaosNet(opts Options) ([]ChaosNetCell, error) {
+	return runChaosSuite("chaosnet", slices.Concat(chaosReplScenarios, []string{"mid-bootstrap-kill"}), opts, runChaosNetScenario)
+}
 
-	dir := cfg.Dir
-	if dir == "" {
-		var err error
-		dir, err = os.MkdirTemp("", "mlq-chaosnet-")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
+// runChaosNetScenario drives one ChaosRepl fault story over sockets and
+// asserts the socket layer's own share of it: a healed partition and socket
+// chaos must both force reconnects. The mid-bootstrap-kill scenario runs
+// runChaosNetBootstrap instead.
+func runChaosNetScenario(sc string, want []byte, opts Options, dir string) (ChaosNetCell, error) {
+	if sc == "mid-bootstrap-kill" {
+		return runChaosNetBootstrap(opts, dir)
 	}
-
-	region, err := geom.NewRect(geom.Point{0, 0}, geom.Point{100, 100})
+	var tr *nettransport.NetTransport
+	drv := chaosDriver{
+		transport: func(sc string, opts Options) replica.Transport {
+			tr = newChaosNetTransport(netChaosInjector(sc, opts), opts)
+			tr.Instrument(opts.Telemetry, telemetry.L("scenario", sc))
+			return tr
+		},
+		settle:              func(g *replica.Group) error { return settleLinks(tr, g) },
+		relaxCleanStaleness: true,
+	}
+	cell, err := runChaosScenarioDriver(sc, want, opts, dir, drv)
+	nc := ChaosNetCell{ChaosReplCell: cell}
 	if err != nil {
-		return nil, err
+		return nc, err
 	}
-	want, err := chaosReplReference(region, opts, cfg.ChaosReplConfig)
-	if err != nil {
-		return nil, fmt.Errorf("chaosnet: reference run: %w", err)
+	nc.NetStats = tr.NetStats()
+	if (sc == "partition-heal" || sc == "net-chaos") && nc.Reconnects == 0 {
+		return nc, fmt.Errorf("no socket reconnect: a healed partition and socket chaos must each force one")
 	}
-
-	var cells []ChaosNetCell
-	for si, sc := range cfg.Scenarios {
-		var tr *nettransport.NetTransport
-		drv := chaosDriver{
-			injector: netChaosInjector,
-			transport: func(inj *faults.Injector, opts Options) replica.Transport {
-				tr = cfg.newTransport(inj, opts)
-				tr.Instrument(opts.Telemetry, telemetry.L("scenario", sc))
-				return tr
-			},
-			settle:              func(g *replica.Group) error { return settleLinks(tr, g) },
-			relaxCleanStaleness: true,
-		}
-		cell, err := runChaosScenarioDriver(sc, region, want, cfg.ChaosReplConfig, opts,
-			filepath.Join(dir, fmt.Sprintf("s%d", si)), drv)
-		if err != nil {
-			return nil, fmt.Errorf("chaosnet: scenario %s: %w", sc, err)
-		}
-		nc := ChaosNetCell{ChaosReplCell: cell}
-		if tr != nil {
-			nc.fillNetStats(tr.NetStats())
-		}
-		switch sc {
-		case "partition-heal":
-			if nc.Reconnects == 0 {
-				return nil, fmt.Errorf("chaosnet: %s: healed link never re-dialed", sc)
-			}
-		case "net-chaos":
-			if nc.Reconnects == 0 {
-				return nil, fmt.Errorf("chaosnet: %s: socket chaos produced no reconnects", sc)
-			}
-		}
-		cells = append(cells, nc)
-	}
-
-	boot, err := runChaosNetBootstrap(region, cfg, opts, filepath.Join(dir, "boot"))
-	if err != nil {
-		return nil, fmt.Errorf("chaosnet: scenario mid-bootstrap-kill: %w", err)
-	}
-	return append(cells, boot), nil
+	return nc, nil
 }
 
 // settleLinks waits for the primary's stream connections to every follower
@@ -155,14 +102,6 @@ func settleLinks(tr *nettransport.NetTransport, g *replica.Group) error {
 	return nil
 }
 
-func (c *ChaosNetCell) fillNetStats(ns nettransport.NetStats) {
-	c.Reconnects = ns.Reconnects
-	c.HeartbeatsMissed = ns.HeartbeatsMissed
-	c.FramesDamaged = ns.FramesDamaged
-	c.BootstrapChunks = ns.BootstrapChunks
-	c.BootstrapResumes = ns.BootstrapResumes
-}
-
 // netChaosInjector builds the socket-level fault plane: connection resets,
 // byte-level truncation/corruption, and read-delay bursts, all seeded. Only
 // the net-chaos scenario gets faults; the other stories run over clean
@@ -178,16 +117,16 @@ func netChaosInjector(sc string, opts Options) *faults.Injector {
 	return inj
 }
 
-// newTransport builds the experiment's socket transport.
-func (cfg ChaosNetConfig) newTransport(inj *faults.Injector, opts Options) *nettransport.NetTransport {
+// newChaosNetTransport builds the experiment's socket transport.
+func newChaosNetTransport(inj *faults.Injector, opts Options) *nettransport.NetTransport {
 	return nettransport.New(nettransport.Config{
 		Injector:       inj,
 		Seed:           opts.Seed,
 		Events:         opts.Events,
 		QueueCapacity:  4096,
-		ChunkBytes:     cfg.ChunkBytes,
-		HeartbeatEvery: cfg.HeartbeatEvery,
-		BarrierTimeout: cfg.BarrierTimeout,
+		ChunkBytes:     chaosNetChunkBytes,
+		HeartbeatEvery: chaosNetHeartbeatEvery,
+		BarrierTimeout: chaosNetBarrierTimeout,
 		BackoffBase:    2 * time.Millisecond,
 		BackoffCap:     50 * time.Millisecond,
 	})
@@ -200,49 +139,22 @@ func (cfg ChaosNetConfig) newTransport(inj *faults.Injector, opts Options) *nett
 // scheduled to land mid-transfer. The transfer must resume from the last
 // verified chunk — not restart — and the received bytes must be exactly the
 // primary's durable state, replayable and loadable.
-func runChaosNetBootstrap(region geom.Rect, cfg ChaosNetConfig, opts Options, dir string) (ChaosNetCell, error) {
-	cell := ChaosNetCell{ChaosReplCell: ChaosReplCell{Scenario: "mid-bootstrap-kill"}}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return cell, err
-	}
-
+func runChaosNetBootstrap(opts Options, dir string) (ChaosNetCell, error) {
+	cell := ChaosNetCell{ChaosReplCell: ChaosReplCell{Scenario: "mid-bootstrap-kill", NAE: math.NaN()}}
 	inj := faults.New(opts.Seed + 104729)
-	tr := cfg.newTransport(inj, opts)
+	tr := newChaosNetTransport(inj, opts)
 	tr.Instrument(opts.Telemetry, telemetry.L("scenario", "mid-bootstrap-kill"))
-	mlqCfg := opts.mlqConfig(MLQE, region)
-	g, err := replica.New(replica.Config{
-		Replicas:      cfg.Replicas,
-		Dir:           dir,
-		NewModel:      func() (*core.MLQ, error) { return core.NewMLQ(mlqCfg) },
-		Transport:     tr,
-		MaxBatch:      cfg.MaxBatch,
-		InboxCapacity: cfg.InboxCapacity,
-		Telemetry:     replica.NewGroupTelemetry(opts.Telemetry),
-		Events:        opts.Events,
-	})
+	g, err := newChaosGroup(tr, opts, dir)
 	if err != nil {
 		return cell, err
 	}
 	defer g.Close()
 
-	src, err := dist.NewSourceSeeded(dist.KindUniform, region, opts.Queries, opts.Seed, opts.Seed+1)
-	if err != nil {
+	// Compact mid-run so the snapshot is checkpoint + journal suffix, not
+	// just one or the other.
+	sched := map[int]func() error{opts.Queries / 2: g.Checkpoint}
+	if _, err := runChaosWorkload(g, sched, opts); err != nil {
 		return cell, err
-	}
-	n := opts.Queries
-	h := g.Handle()
-	for q := 0; q < n; q++ {
-		if q == n/2 {
-			// Compact mid-run so the snapshot is checkpoint + journal
-			// suffix, not just one or the other.
-			if err := g.Checkpoint(); err != nil {
-				return cell, err
-			}
-		}
-		p := src.Next()
-		if err := h.Observe(p, chaosReplCost(p)); err != nil {
-			return cell, fmt.Errorf("observe %d: %w", q, err)
-		}
 	}
 	if err := g.Converge(); err != nil {
 		return cell, err
@@ -263,7 +175,7 @@ func runChaosNetBootstrap(region geom.Rect, cfg ChaosNetConfig, opts Options, di
 	if err != nil {
 		return cell, err
 	}
-	chunks := (len(wantCkpt) + len(wantJnl) + cfg.ChunkBytes - 1) / cfg.ChunkBytes
+	chunks := (len(wantCkpt) + len(wantJnl) + chaosNetChunkBytes - 1) / chaosNetChunkBytes
 	if chunks < 2 {
 		return cell, fmt.Errorf("snapshot spans %d chunk(s); too small for a mid-transfer kill", chunks)
 	}
@@ -319,6 +231,6 @@ func runChaosNetBootstrap(region geom.Rect, cfg ChaosNetConfig, opts Options, di
 	cell.Acked = st.Acked
 	cell.AckedLost = st.AckedLost
 	cell.Partitioned = st.Transport.Partitioned
-	cell.fillNetStats(tr.NetStats())
+	cell.NetStats = tr.NetStats()
 	return cell, nil
 }

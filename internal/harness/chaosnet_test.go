@@ -14,7 +14,7 @@ import (
 // resumable bootstrap) are the test.
 func TestChaosNetAllScenarios(t *testing.T) {
 	reg := telemetry.New()
-	cells, err := ChaosNet(ChaosNetConfig{}, Options{Seed: 1, Queries: 600, Telemetry: reg})
+	cells, err := ChaosNet(Options{Seed: 1, Queries: 600, Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,24 +59,35 @@ func TestChaosNetAllScenarios(t *testing.T) {
 		}
 	}
 
-	// The renderer formats every scenario row.
-	var out bytes.Buffer
-	RenderChaosNet(&out, cells)
-	for _, sc := range []string{"clean", "kill-primary", "partition-heal", "net-chaos", "mid-bootstrap-kill"} {
-		if !strings.Contains(out.String(), sc) {
-			t.Fatalf("render missing scenario %s:\n%s", sc, out.String())
+	// The renderer formats every scenario row, and the bootstrap scenario,
+	// which scores no model, shows no NAE rather than a perfect one.
+	tbl := RenderChaosNet(cells)
+	for i, sc := range []string{"clean", "kill-primary", "partition-heal", "net-chaos", "mid-bootstrap-kill"} {
+		if row := tbl.Rows[i]; row[0] != sc {
+			t.Fatalf("render row %d is %q, want scenario %s:\n%s", i, row[0], sc, tableString(tbl))
 		}
+	}
+	if nae := tbl.Rows[4][1]; nae != "-" {
+		t.Errorf("mid-bootstrap-kill NAE cell = %q, want -", nae)
 	}
 }
 
 // TestChaosNetSingleScenarioQuick keeps a fast path for the CI smoke job.
 func TestChaosNetSingleScenarioQuick(t *testing.T) {
-	cells, err := ChaosNet(ChaosNetConfig{ChaosReplConfig: ChaosReplConfig{Scenarios: []string{"kill-primary"}}},
-		Options{Seed: 3, Queries: 300})
+	opts := Options{Seed: 3, Queries: 300}.withDefaults()
+	want, err := chaosReplReference(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cells) != 2 || cells[0].Acked == 0 {
-		t.Fatalf("cells = %+v", cells)
+	cell, err := runChaosNetScenario("kill-primary", want, opts, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	boot, err := runChaosNetBootstrap(opts, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cell.Acked == 0 || boot.Acked == 0 {
+		t.Fatalf("cells = %+v, %+v", cell, boot)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -16,50 +17,39 @@ import (
 	"mlq/internal/replica"
 )
 
-// chaosReplNetFaultP is the per-record probability of each network fault
-// (drop, duplicate, reorder) in the net-chaos scenario.
-const chaosReplNetFaultP = 0.05
+// The replication chaos experiments' fixed parameters.
+const (
+	// chaosReplReplicas is the group size including the primary.
+	chaosReplReplicas = 3
+	// chaosReplMaxBatch is the primary publisher's batch bound — and
+	// therefore the hard ceiling on acknowledged observations a failover may
+	// lose, which every scenario asserts.
+	chaosReplMaxBatch = 16
+	// chaosReplInboxCapacity bounds follower stream inboxes; with
+	// chaosReplMaxBatch it bounds the follower staleness the clean scenario
+	// asserts.
+	chaosReplInboxCapacity = 1024
+	// chaosReplNetFaultP is the per-record probability of each network
+	// fault (drop, duplicate, reorder) in the net-chaos scenario.
+	chaosReplNetFaultP = 0.05
+	// chaosReplProbes is the size of the fixed probe set the converged
+	// model is scored on.
+	chaosReplProbes = 1000
+)
 
-// ChaosReplConfig parameterizes the replication chaos experiment.
-type ChaosReplConfig struct {
-	// Replicas is the group size including the primary. Default 3.
-	Replicas int
-	// Scenarios selects which fault stories run. Default all four:
-	// clean, kill-primary, partition-heal, net-chaos.
-	Scenarios []string
-	// MaxBatch is the primary publisher's batch bound — and therefore the
-	// hard ceiling on acknowledged observations a failover may lose, which
-	// every scenario asserts. Default 16.
-	MaxBatch int
-	// InboxCapacity bounds follower stream inboxes; with MaxBatch it bounds
-	// the follower staleness the clean scenario asserts. Default 1024.
-	InboxCapacity int
-	// Dir is the scratch directory for journals and checkpoints. Empty
-	// means a fresh temp directory, removed afterwards.
-	Dir string
-}
+// chaosReplScenarios are the fault stories ChaosRepl and ChaosNet run.
+var chaosReplScenarios = []string{"clean", "kill-primary", "partition-heal", "net-chaos"}
 
-func (c ChaosReplConfig) withDefaults() ChaosReplConfig {
-	if c.Replicas <= 0 {
-		c.Replicas = 3
-	}
-	if len(c.Scenarios) == 0 {
-		c.Scenarios = []string{"clean", "kill-primary", "partition-heal", "net-chaos"}
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 16
-	}
-	if c.InboxCapacity <= 0 {
-		c.InboxCapacity = 1024
-	}
-	return c
-}
+// chaosReplRegion is the replicated model's domain.
+var chaosReplRegion = geom.Rect{Lo: geom.Point{0, 0}, Hi: geom.Point{100, 100}}
 
 // ChaosReplCell is one scenario's outcome: the replication accounting that
 // proves convergence was earned, not assumed.
 type ChaosReplCell struct {
 	Scenario string
-	NAE      float64 // primary-side prediction accuracy over the workload
+	// NAE scores the converged model on a fixed probe set, seeded apart
+	// from the workload; NaN when the scenario scores nothing.
+	NAE float64
 
 	Acked        uint64 // acknowledged observation high-water mark
 	AckedLost    uint64 // acknowledged observations lost across failovers
@@ -90,41 +80,37 @@ func chaosReplCost(p geom.Point) float64 {
 //   - when no acknowledged observation was lost, bit-identity with a plain
 //     single-Publisher run of the same workload (the replication layer is
 //     transparent — the clean scenario's version of severity 0);
-//   - acknowledged loss bounded by one publisher batch (MaxBatch);
+//   - acknowledged loss bounded by one publisher batch (chaosReplMaxBatch);
 //   - zero follower lag after convergence, and mid-run staleness within
 //     the inbox + batch bound for reachable followers;
 //   - no divergence hazards (failed record applies) anywhere.
-func ChaosRepl(cfg ChaosReplConfig, opts Options) ([]ChaosReplCell, error) {
+func ChaosRepl(opts Options) ([]ChaosReplCell, error) {
+	return runChaosSuite("chaosrepl", chaosReplScenarios, opts,
+		func(sc string, want []byte, opts Options, dir string) (ChaosReplCell, error) {
+			return runChaosScenarioDriver(sc, want, opts, dir, memChaosDriver())
+		})
+}
+
+// runChaosSuite runs each scenario in its own scratch directory against the
+// transparency reference: the identical workload through one plain
+// Publisher, no replication anywhere near it.
+func runChaosSuite[C any](name string, scenarios []string, opts Options,
+	run func(sc string, want []byte, opts Options, dir string) (C, error)) ([]C, error) {
 	opts = opts.withDefaults()
-	cfg = cfg.withDefaults()
-
-	dir := cfg.Dir
-	if dir == "" {
-		var err error
-		dir, err = os.MkdirTemp("", "mlq-chaosrepl-")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
-	}
-
-	region, err := geom.NewRect(geom.Point{0, 0}, geom.Point{100, 100})
+	dir, err := os.MkdirTemp("", "mlq-"+name+"-")
 	if err != nil {
 		return nil, err
 	}
-
-	// The transparency reference: the identical workload through one plain
-	// Publisher, no replication anywhere near it.
-	want, err := chaosReplReference(region, opts, cfg)
+	defer os.RemoveAll(dir)
+	want, err := chaosReplReference(opts)
 	if err != nil {
-		return nil, fmt.Errorf("chaosrepl: reference run: %w", err)
+		return nil, fmt.Errorf("%s: reference run: %w", name, err)
 	}
-
-	var cells []ChaosReplCell
-	for si, sc := range cfg.Scenarios {
-		cell, err := runChaosReplScenario(sc, region, want, cfg, opts, filepath.Join(dir, fmt.Sprintf("s%d", si)))
+	var cells []C
+	for si, sc := range scenarios {
+		cell, err := run(sc, want, opts, filepath.Join(dir, fmt.Sprintf("s%d", si)))
 		if err != nil {
-			return nil, fmt.Errorf("chaosrepl: scenario %s: %w", sc, err)
+			return nil, fmt.Errorf("%s: scenario %s: %w", name, sc, err)
 		}
 		cells = append(cells, cell)
 	}
@@ -132,16 +118,16 @@ func ChaosRepl(cfg ChaosReplConfig, opts Options) ([]ChaosReplCell, error) {
 }
 
 // chaosReplReference serializes the single-Publisher ground truth.
-func chaosReplReference(region geom.Rect, opts Options, cfg ChaosReplConfig) ([]byte, error) {
-	model, err := NewModel(MLQE, region, opts, nil)
+func chaosReplReference(opts Options) ([]byte, error) {
+	model, err := NewModel(MLQE, chaosReplRegion, opts, nil)
 	if err != nil {
 		return nil, err
 	}
-	pub, err := core.NewPublisher(model.(*core.MLQ), core.PublisherConfig{MaxBatch: cfg.MaxBatch})
+	pub, err := core.NewPublisher(model.(*core.MLQ), core.PublisherConfig{MaxBatch: chaosReplMaxBatch})
 	if err != nil {
 		return nil, err
 	}
-	src, err := dist.NewSourceSeeded(dist.KindUniform, region, opts.Queries, opts.Seed, opts.Seed+1)
+	src, err := dist.NewSourceSeeded(dist.KindUniform, chaosReplRegion, opts.Queries, opts.Seed, opts.Seed+1)
 	if err != nil {
 		return nil, err
 	}
@@ -168,10 +154,8 @@ func chaosReplReference(region geom.Rect, opts Options, cfg ChaosReplConfig) ([]
 // the same fault stories and assertions drive both the in-process
 // MemTransport (ChaosRepl) and real loopback sockets (ChaosNet).
 type chaosDriver struct {
-	// injector builds the scenario's fault plane; nil means no faults.
-	injector func(sc string, opts Options) *faults.Injector
-	// transport builds the scenario's transport over that fault plane.
-	transport func(inj *faults.Injector, opts Options) replica.Transport
+	// transport builds the scenario's transport over its fault plane.
+	transport func(sc string, opts Options) replica.Transport
 	// settle, when non-nil, runs after the group is built and before the
 	// workload: socket planes wait for the stream links to establish, so
 	// the fault schedule hits live connections instead of racing the lazy
@@ -184,52 +168,26 @@ type chaosDriver struct {
 }
 
 // memChaosDriver is the canonical in-process plane: record-level drop,
-// duplicate and reorder faults inside MemTransport.
+// duplicate and reorder faults inside MemTransport, in the net-chaos
+// scenario only.
 func memChaosDriver() chaosDriver {
-	return chaosDriver{
-		injector: func(sc string, opts Options) *faults.Injector {
-			if sc != "net-chaos" {
-				return nil
-			}
-			inj := faults.New(opts.Seed + 7919)
+	return chaosDriver{transport: func(sc string, opts Options) replica.Transport {
+		var inj *faults.Injector
+		if sc == "net-chaos" {
+			inj = faults.New(opts.Seed + 7919)
 			inj.Enable(faults.ReplicaDrop, faults.SiteConfig{Probability: chaosReplNetFaultP})
 			inj.Enable(faults.ReplicaDup, faults.SiteConfig{Probability: chaosReplNetFaultP})
 			inj.Enable(faults.ReplicaReorder, faults.SiteConfig{Probability: chaosReplNetFaultP})
-			return inj
-		},
-		transport: func(inj *faults.Injector, opts Options) replica.Transport {
-			return replica.NewMemTransport(inj)
-		},
-	}
-}
-
-// runChaosReplScenario drives one fault story end to end on the in-process
-// transport plane.
-func runChaosReplScenario(sc string, region geom.Rect, want []byte, cfg ChaosReplConfig, opts Options, dir string) (ChaosReplCell, error) {
-	return runChaosScenarioDriver(sc, region, want, cfg, opts, dir, memChaosDriver())
+		}
+		return replica.NewMemTransport(inj)
+	}}
 }
 
 // runChaosScenarioDriver drives one fault story end to end over the plane
 // the driver supplies.
-func runChaosScenarioDriver(sc string, region geom.Rect, want []byte, cfg ChaosReplConfig, opts Options, dir string, drv chaosDriver) (ChaosReplCell, error) {
+func runChaosScenarioDriver(sc string, want []byte, opts Options, dir string, drv chaosDriver) (ChaosReplCell, error) {
 	cell := ChaosReplCell{Scenario: sc}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return cell, err
-	}
-
-	inj := drv.injector(sc, opts)
-
-	mlqCfg := opts.mlqConfig(MLQE, region)
-	g, err := replica.New(replica.Config{
-		Replicas:      cfg.Replicas,
-		Dir:           dir,
-		NewModel:      func() (*core.MLQ, error) { return core.NewMLQ(mlqCfg) },
-		Transport:     drv.transport(inj, opts),
-		MaxBatch:      cfg.MaxBatch,
-		InboxCapacity: cfg.InboxCapacity,
-		Telemetry:     replica.NewGroupTelemetry(opts.Telemetry),
-		Events:        opts.Events,
-	})
+	g, err := newChaosGroup(drv.transport(sc, opts), opts, dir)
 	if err != nil {
 		return cell, err
 	}
@@ -240,79 +198,42 @@ func runChaosScenarioDriver(sc string, region geom.Rect, want []byte, cfg ChaosR
 		}
 	}
 
-	src, err := dist.NewSourceSeeded(dist.KindUniform, region, opts.Queries, opts.Seed, opts.Seed+1)
-	if err != nil {
-		return cell, err
-	}
-
 	// Scenario event schedule, by workload index. The partition victim is
 	// always the last replica (never the initial primary r0).
 	n := opts.Queries
-	// Mark the scenario boundary on the spine: a dump decoded later shows
-	// which fault story the surrounding events belong to.
-	opts.Events.Emit(events.SubHarness, events.KindMark, 0, uint64(n), 0)
-	victim := fmt.Sprintf("r%d", cfg.Replicas-1)
+	victim := fmt.Sprintf("r%d", chaosReplReplicas-1)
 	var downed []string
+	killPrimary := func() error {
+		old := g.PrimaryID()
+		stale := g.Handle()
+		if _, err := g.Failover(); err != nil {
+			return err
+		}
+		downed = append(downed, old)
+		return expectFenced(stale)
+	}
 	sched := map[int]func() error{}
 	switch sc {
 	case "clean":
 	case "kill-primary":
-		sched[n/2] = func() error {
-			old := g.PrimaryID()
-			stale := g.Handle()
-			if _, err := g.Failover(); err != nil {
-				return err
-			}
-			downed = append(downed, old)
-			return expectFenced(stale)
-		}
+		sched[n/2] = killPrimary
 	case "partition-heal":
 		sched[n/4] = func() error { g.Transport().Partition(victim); return nil }
 		// The checkpoint compacts the journal while the victim is cut off,
 		// so healing alone cannot repair it — only a checkpoint resync can.
-		sched[n/2] = func() error { return g.Checkpoint() }
+		sched[n/2] = g.Checkpoint
 		sched[3*n/4] = func() error { g.Transport().Heal(victim); return nil }
 	case "net-chaos":
 		sched[n/3] = func() error { g.Transport().Partition(victim); return nil }
-		sched[n/2] = func() error {
-			old := g.PrimaryID()
-			stale := g.Handle()
-			if _, err := g.Failover(); err != nil {
-				return err
-			}
-			downed = append(downed, old)
-			return expectFenced(stale)
-		}
+		sched[n/2] = killPrimary
 		sched[2*n/3] = func() error { g.Transport().Heal(victim); return nil }
 	default:
 		return cell, fmt.Errorf("unknown scenario %q", sc)
 	}
 
-	var nae metrics.NAE
-	h := g.Handle()
-	for q := 0; q < n; q++ {
-		if ev, ok := sched[q]; ok {
-			if err := ev(); err != nil {
-				return cell, err
-			}
-			h = g.Handle() // events may have moved the term
-		}
-		p := src.Next()
-		actual := chaosReplCost(p)
-		if pred, ok := g.Predict(g.PrimaryID(), p); ok {
-			if !core.ValidCost(pred) {
-				return cell, fmt.Errorf("primary predicted invalid %v", pred)
-			}
-			nae.Add(pred, actual)
-		}
-		if err := h.Observe(p, actual); err != nil {
-			return cell, fmt.Errorf("observe %d: %w", q, err)
-		}
-		if q%64 == 0 {
-			cell.MaxLag = maxUint64(cell.MaxLag, sampleFollowerLag(g))
-		}
+	if cell.MaxLag, err = runChaosWorkload(g, sched, opts); err != nil {
+		return cell, err
 	}
-	cell.NAE = nae.Value()
 
 	// Resurrect every killed primary before the convergence check: the
 	// rejoin path (checkpoint resync + journal suffix) is part of what the
@@ -342,8 +263,8 @@ func runChaosScenarioDriver(sc string, region geom.Rect, want []byte, cfg ChaosR
 
 	// --- Assertions -----------------------------------------------------
 
-	if st.AckedLost > uint64(cfg.MaxBatch) {
-		return cell, fmt.Errorf("lost %d acknowledged observations, bound is one batch (%d)", st.AckedLost, cfg.MaxBatch)
+	if st.AckedLost > chaosReplMaxBatch {
+		return cell, fmt.Errorf("lost %d acknowledged observations, bound is one batch (%d)", st.AckedLost, chaosReplMaxBatch)
 	}
 	if errs := g.ApplyErrors(); len(errs) != 0 {
 		return cell, fmt.Errorf("divergence hazards recorded: %v", errs)
@@ -366,8 +287,11 @@ func runChaosScenarioDriver(sc string, region geom.Rect, want []byte, cfg ChaosR
 			return cell, fmt.Errorf("%s diverged after heal (%d vs %d bytes)", id, len(b), len(first))
 		}
 	}
-	if live != cfg.Replicas {
-		return cell, fmt.Errorf("%d of %d replicas serving after heal", live, cfg.Replicas)
+	if live != chaosReplReplicas {
+		return cell, fmt.Errorf("%d of %d replicas serving after heal", live, chaosReplReplicas)
+	}
+	if cell.NAE, err = scoreChaosModel(first, opts); err != nil {
+		return cell, err
 	}
 	if st.AckedLost == 0 {
 		if st.Acked != uint64(n) {
@@ -388,8 +312,8 @@ func runChaosScenarioDriver(sc string, region geom.Rect, want []byte, cfg ChaosR
 			return cell, fmt.Errorf("%s applied %d of %d acked after converge", rs.ID, rs.Applied, st.Acked)
 		}
 	}
-	if sc == "clean" && !drv.relaxCleanStaleness && cell.MaxLag > uint64(cfg.InboxCapacity+cfg.MaxBatch) {
-		return cell, fmt.Errorf("clean-run follower staleness %d exceeds inbox+batch bound %d", cell.MaxLag, cfg.InboxCapacity+cfg.MaxBatch)
+	if sc == "clean" && !drv.relaxCleanStaleness && cell.MaxLag > chaosReplInboxCapacity+chaosReplMaxBatch {
+		return cell, fmt.Errorf("clean-run follower staleness %d exceeds inbox+batch bound %d", cell.MaxLag, chaosReplInboxCapacity+chaosReplMaxBatch)
 	}
 
 	// Scenario-specific accounting.
@@ -416,6 +340,86 @@ func runChaosScenarioDriver(sc string, region geom.Rect, want []byte, cfg ChaosR
 	return cell, nil
 }
 
+// newChaosGroup builds a chaosReplReplicas-strong fleet in dir whose
+// stream rides tr.
+func newChaosGroup(tr replica.Transport, opts Options, dir string) (*replica.Group, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	mlqCfg := opts.mlqConfig(MLQE, chaosReplRegion)
+	return replica.New(replica.Config{
+		Replicas:      chaosReplReplicas,
+		Dir:           dir,
+		NewModel:      func() (*core.MLQ, error) { return core.NewMLQ(mlqCfg) },
+		Transport:     tr,
+		MaxBatch:      chaosReplMaxBatch,
+		InboxCapacity: chaosReplInboxCapacity,
+		Telemetry:     replica.NewGroupTelemetry(opts.Telemetry),
+		Events:        opts.Events,
+	})
+}
+
+// runChaosWorkload streams the seeded workload through the group's primary,
+// firing sched's events at their query index and checking that every
+// mid-run prediction is valid. It returns the largest follower lag sampled.
+func runChaosWorkload(g *replica.Group, sched map[int]func() error, opts Options) (uint64, error) {
+	src, err := dist.NewSourceSeeded(dist.KindUniform, chaosReplRegion, opts.Queries, opts.Seed, opts.Seed+1)
+	if err != nil {
+		return 0, err
+	}
+	// Mark the scenario boundary on the spine: a dump decoded later shows
+	// which fault story the surrounding events belong to.
+	opts.Events.Emit(events.SubHarness, events.KindMark, 0, uint64(opts.Queries), 0)
+	var maxLag uint64
+	h := g.Handle()
+	for q := 0; q < opts.Queries; q++ {
+		if ev, ok := sched[q]; ok {
+			if err := ev(); err != nil {
+				return maxLag, err
+			}
+			h = g.Handle() // events may have moved the term
+		}
+		p := src.Next()
+		if pred, ok := g.Predict(g.PrimaryID(), p); ok && !core.ValidCost(pred) {
+			return maxLag, fmt.Errorf("primary predicted invalid %v", pred)
+		}
+		if err := h.Observe(p, chaosReplCost(p)); err != nil {
+			return maxLag, fmt.Errorf("observe %d: %w", q, err)
+		}
+		if q%64 == 0 {
+			maxLag = max(maxLag, sampleFollowerLag(g))
+		}
+	}
+	return maxLag, nil
+}
+
+// scoreChaosModel scores a converged model's serialization on
+// chaosReplProbes points seeded apart from the workload. Scoring the bytes
+// the convergence check compared, not a replica's live view, keeps the
+// score independent of when an async publish lands. It returns NaN when the
+// model answers no probe.
+func scoreChaosModel(b []byte, opts Options) (float64, error) {
+	m, err := core.ReadMLQ(bytes.NewReader(b))
+	if err != nil {
+		return 0, fmt.Errorf("decoding converged model: %w", err)
+	}
+	src, err := dist.NewSourceSeeded(dist.KindUniform, chaosReplRegion, chaosReplProbes, opts.Seed+15485863, opts.Seed+32452843)
+	if err != nil {
+		return 0, err
+	}
+	var nae metrics.NAE
+	for i := 0; i < chaosReplProbes; i++ {
+		p := src.Next()
+		if pred, ok := m.Predict(p); ok {
+			nae.Add(pred, chaosReplCost(p))
+		}
+	}
+	if nae.Count() == 0 {
+		return math.NaN(), nil
+	}
+	return nae.Value(), nil
+}
+
 // expectFenced asserts a demoted lineage's handle reports ErrFencedTerm.
 func expectFenced(h *replica.Handle) error {
 	p := geom.Point{1, 1}
@@ -430,21 +434,14 @@ func expectFenced(h *replica.Handle) error {
 // reachable followers right now.
 func sampleFollowerLag(g *replica.Group) uint64 {
 	st := g.Stats()
-	var max uint64
+	var lag uint64
 	for _, rs := range st.Replicas {
 		if rs.Role != replica.RoleFollower || g.Transport().Cut(rs.ID) {
 			continue
 		}
 		if st.Acked > rs.Applied {
-			max = maxUint64(max, st.Acked-rs.Applied)
+			lag = max(lag, st.Acked-rs.Applied)
 		}
 	}
-	return max
-}
-
-func maxUint64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
+	return lag
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 // bounded acked loss, fencing, staleness) are the test.
 func TestChaosReplAllScenarios(t *testing.T) {
 	reg := telemetry.New()
-	cells, err := ChaosRepl(ChaosReplConfig{}, Options{Seed: 1, Queries: 600, Telemetry: reg})
+	cells, err := ChaosRepl(Options{Seed: 1, Queries: 600, Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,22 +57,53 @@ func TestChaosReplAllScenarios(t *testing.T) {
 	}
 
 	// The renderer formats every scenario row.
-	var out bytes.Buffer
-	RenderChaosRepl(&out, cells)
-	for _, sc := range []string{"clean", "kill-primary", "partition-heal", "net-chaos"} {
-		if !strings.Contains(out.String(), sc) {
-			t.Fatalf("render missing scenario %s:\n%s", sc, out.String())
+	out := tableString(RenderChaosRepl(cells))
+	for _, sc := range chaosReplScenarios {
+		if !strings.Contains(out, sc) {
+			t.Fatalf("render missing scenario %s:\n%s", sc, out)
 		}
 	}
 }
 
 // TestChaosReplSingleScenarioQuick keeps a fast path for the CI smoke job.
 func TestChaosReplSingleScenarioQuick(t *testing.T) {
-	cells, err := ChaosRepl(ChaosReplConfig{Scenarios: []string{"kill-primary"}}, Options{Seed: 3, Queries: 300})
+	opts := Options{Seed: 3, Queries: 300}.withDefaults()
+	want, err := chaosReplReference(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cells) != 1 || cells[0].Acked == 0 {
-		t.Fatalf("cells = %+v", cells)
+	cell, err := runChaosScenarioDriver("kill-primary", want, opts, t.TempDir(), memChaosDriver())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cell.Acked == 0 {
+		t.Fatalf("cell = %+v", cell)
+	}
+}
+
+// TestChaosReplNAEDeterministic pins the NAE column to the seed: a scenario
+// that lost no acknowledged observation converged to the reference model,
+// so two same-seed runs must score it identically, however the async
+// publishes interleaved.
+func TestChaosReplNAEDeterministic(t *testing.T) {
+	opts := Options{Seed: 1, Queries: 600}
+	a, err := ChaosRepl(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ChaosRepl(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range a {
+		if a[i].AckedLost != 0 || b[i].AckedLost != 0 {
+			continue
+		}
+		if math.IsNaN(a[i].NAE) || a[i].NAE == 0 {
+			t.Errorf("%s: NAE %v, want a scored, non-trivial value", a[i].Scenario, a[i].NAE)
+		}
+		if a[i].NAE != b[i].NAE {
+			t.Errorf("%s: same-seed runs scored NAE %v and %v", a[i].Scenario, a[i].NAE, b[i].NAE)
+		}
 	}
 }

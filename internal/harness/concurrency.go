@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,6 +31,9 @@ type ConcurrencyRow struct {
 	// FinalEpoch is the publisher's snapshot generation count at the end.
 	FinalEpoch uint64
 }
+
+// concurrencyGoroutines are the predictor parallelism steps.
+var concurrencyGoroutines = []int{1, 2, 4, 8}
 
 // concurrencyModel pre-trains one MLQ on the surface so both contenders
 // start from the same realistic tree (compression pressure included).
@@ -91,11 +93,8 @@ func measureThroughput(n, perG int, region geom.Rect, seed int64, predict func(g
 // reads of a published snapshot with batched writes. The workload per cell is
 // identical — only the synchronization differs — so the ratio isolates the
 // cost of lock contention on the Predict hot path.
-func Concurrency(counts []int, opts Options) ([]ConcurrencyRow, error) {
+func Concurrency(opts Options) ([]ConcurrencyRow, error) {
 	opts = opts.withDefaults()
-	if len(counts) == 0 {
-		counts = []int{1, 2, 4, 8}
-	}
 	surface, err := synthetic.Generate(synthetic.Config{Seed: opts.Seed})
 	if err != nil {
 		return nil, err
@@ -106,11 +105,7 @@ func Concurrency(counts []int, opts Options) ([]ConcurrencyRow, error) {
 	perG := opts.Queries * 20
 
 	var rows []ConcurrencyRow
-	for _, n := range counts {
-		if n <= 0 {
-			return nil, fmt.Errorf("harness: goroutine count must be positive, got %d", n)
-		}
-
+	for _, n := range concurrencyGoroutines {
 		// Baseline: mutex-wrapped model, observer contends with readers.
 		baseModel, err := concurrencyModel(surface, opts)
 		if err != nil {

@@ -17,13 +17,17 @@ func TestChaosReplFailoverBlackbox(t *testing.T) {
 	// The replica ring sees up to eight events per observation across the
 	// fleet; size it so a full journey survives until the failover dump.
 	rec := events.New(events.Config{Seed: 42, DumpDir: dumpDir, RingSize: 8192})
-	opts := Options{Seed: 1, Queries: 300, Events: rec}
-	cells, err := ChaosRepl(ChaosReplConfig{Scenarios: []string{"kill-primary"}}, opts)
+	opts := Options{Seed: 1, Queries: 300, Events: rec}.withDefaults()
+	want, err := chaosReplReference(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cells) != 1 || cells[0].Failovers == 0 {
-		t.Fatalf("kill-primary scenario did not fail over: %+v", cells)
+	cell, err := runChaosScenarioDriver("kill-primary", want, opts, t.TempDir(), memChaosDriver())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cell.Failovers == 0 {
+		t.Fatalf("kill-primary scenario did not fail over: %+v", cell)
 	}
 
 	dumps, err := filepath.Glob(filepath.Join(dumpDir, "blackbox-*-failover.mlqbb"))

@@ -125,10 +125,9 @@ func TestFig8ProducesFullGrid(t *testing.T) {
 			t.Errorf("row %+v missing methods", r)
 		}
 	}
-	var sb strings.Builder
-	RenderFig8(&sb, rows)
-	if !strings.Contains(sb.String(), "MLQ-E") || !strings.Contains(sb.String(), "GAUSS-SEQ") {
-		t.Errorf("render missing columns:\n%s", sb.String())
+	out := tableString(RenderFig8(rows))
+	if !strings.Contains(out, "MLQ-E") || !strings.Contains(out, "GAUSS-SEQ") {
+		t.Errorf("render missing columns:\n%s", out)
 	}
 }
 
@@ -164,9 +163,8 @@ func TestFig10SyntheticShape(t *testing.T) {
 		t.Errorf("MLQ-L compressions (%d) not below MLQ-E (%d)",
 			byMethod[MLQL].Compressions, byMethod[MLQE].Compressions)
 	}
-	var sb strings.Builder
-	RenderFig10(&sb, "fig10", rows)
-	if !strings.Contains(sb.String(), "MUC") {
+	out := tableString(RenderFig10("fig10", rows))
+	if !strings.Contains(out, "MUC") {
 		t.Error("render missing header")
 	}
 }
@@ -196,9 +194,8 @@ func TestFig11bShape(t *testing.T) {
 				rows[1].NAE[SHH], m, rows[1].NAE[m])
 		}
 	}
-	var sb strings.Builder
-	RenderFig11b(&sb, rows)
-	if !strings.Contains(sb.String(), "noiseP") {
+	out := tableString(RenderFig11b(rows))
+	if !strings.Contains(out, "noiseP") {
 		t.Error("render missing header")
 	}
 }
@@ -224,10 +221,9 @@ func TestFig12SyntheticLearningCurves(t *testing.T) {
 			t.Errorf("%v: error did not improve (%.4f -> %.4f)", s.Method, first, last)
 		}
 	}
-	var sb strings.Builder
-	RenderFig12(&sb, "fig12", series)
-	if !strings.Contains(sb.String(), "SYNTH/MLQ-E") {
-		t.Errorf("render missing series header:\n%s", sb.String())
+	out := tableString(RenderFig12("fig12", series))
+	if !strings.Contains(out, "SYNTH/MLQ-E") {
+		t.Errorf("render missing series header:\n%s", out)
 	}
 }
 
@@ -273,9 +269,8 @@ func TestAblateMemorySweep(t *testing.T) {
 	if big.NAE > small.NAE+0.05 {
 		t.Errorf("8KB model (NAE %.4f) much worse than 400B model (NAE %.4f)", big.NAE, small.NAE)
 	}
-	var sb strings.Builder
-	RenderAblation(&sb, rows)
-	if !strings.Contains(sb.String(), "memory") {
+	out := tableString(RenderAblation(rows))
+	if !strings.Contains(out, "memory") {
 		t.Error("render missing title")
 	}
 }
@@ -292,6 +287,13 @@ func TestAblateAlphaOnlyLazy(t *testing.T) {
 			t.Errorf("alpha sweep included %v", r.Method)
 		}
 	}
+}
+
+// tableString renders a table as mlqbench prints it.
+func tableString(t Table) string {
+	var sb strings.Builder
+	t.Fprint(&sb)
+	return sb.String()
 }
 
 func TestTableRendering(t *testing.T) {
@@ -359,9 +361,7 @@ func TestShiftSelfTuningWinsAfterShift(t *testing.T) {
 		t.Errorf("SH-H pre-shift NAE %.4f implausibly bad vs MLQ-E %.4f",
 			byMethod[SHH].Before, byMethod[MLQE].Before)
 	}
-	var sb strings.Builder
-	RenderShift(&sb, series)
-	if !strings.Contains(sb.String(), "before") {
+	if tables := RenderShift(series); len(tables) != 2 || !strings.Contains(tableString(tables[1]), "before") {
 		t.Error("render missing aggregate table")
 	}
 }
@@ -378,10 +378,9 @@ func TestAblatePolicy(t *testing.T) {
 	if len(rows) != 6 { // 3 policies x 2 methods
 		t.Fatalf("got %d rows", len(rows))
 	}
-	var sb strings.Builder
-	RenderAblation(&sb, rows)
-	if !strings.Contains(sb.String(), "sseg") || !strings.Contains(sb.String(), "random") {
-		t.Errorf("render missing policy names:\n%s", sb.String())
+	out := tableString(RenderAblation(rows))
+	if !strings.Contains(out, "sseg") || !strings.Contains(out, "random") {
+		t.Errorf("render missing policy names:\n%s", out)
 	}
 }
 
@@ -411,10 +410,9 @@ func TestFig8ReplicatedTrials(t *testing.T) {
 	if !sawSpread {
 		t.Error("three independent trials produced identical NAE everywhere; seeds not varied")
 	}
-	var sb strings.Builder
-	RenderFig8(&sb, rows)
-	if !strings.Contains(sb.String(), "±") {
-		t.Errorf("replicated render missing ± spread:\n%s", sb.String())
+	out := tableString(RenderFig8(rows))
+	if !strings.Contains(out, "±") {
+		t.Errorf("replicated render missing ± spread:\n%s", out)
 	}
 }
 
@@ -445,9 +443,8 @@ func TestMemCurve(t *testing.T) {
 		t.Errorf("MLQ-E did not improve with memory: %.4f -> %.4f",
 			rows[0].NAE[MLQE], rows[1].NAE[MLQE])
 	}
-	var sb strings.Builder
-	RenderMemCurve(&sb, "GAUSS-RAND", rows)
-	if !strings.Contains(sb.String(), "bytes") {
+	out := tableString(RenderMemCurve("GAUSS-RAND", rows))
+	if !strings.Contains(out, "bytes") {
 		t.Error("render missing header")
 	}
 }

@@ -14,67 +14,36 @@ import (
 	"mlq/internal/telemetry"
 )
 
-// MemWallConfig parameterizes the global-memory-wall experiment.
-type MemWallConfig struct {
-	// TotalBytes is the wall: the one budget shared by the cost model and
-	// the buffer cache. Default 32 KiB.
-	TotalBytes int
-	// PageSize is the simulated disk's page size. Default 512.
-	PageSize int
-	// Pages is the database size in pages. Default 2048 (a 1 MiB database,
-	// so no feasible split of the wall caches the phase-A working set).
-	Pages int
-	// HotPages is the size of phase B's migrated hot set. Default 40
-	// (20 KiB: only a cache-heavy split holds it).
-	HotPages int
-	// ReadsHot is how many hot pages each phase-B query touches. Default 6.
-	ReadsHot int
-	// Splits are the static model fractions of the wall the arbiter is
-	// judged against. Default {0.25, 0.5, 0.75}.
-	Splits []float64
-	// CycleEvery is how many queries pass between arbitration cycles.
-	// Default 10.
-	CycleEvery int
-	// StepBytes is the arbiter's per-cycle transfer bound. Default 8192.
-	StepBytes int
-	// MinQueries floors the workload length. The phase-A cost surface has
-	// 32×32 cells: below a few thousand queries no feasible model can
-	// resolve it, every split ties on phase A, and the cell comparison
-	// measures noise. Default 5000 (the whole four-cell run stays under a
-	// second). Default-scale and -quick runs both land here.
-	MinQueries int
-}
+// The global-memory-wall experiment's fixed parameters.
+const (
+	// memWallTotalBytes is the wall: the one budget shared by the cost
+	// model and the buffer cache.
+	memWallTotalBytes = 32 << 10
+	// memWallPageSize is the simulated disk's page size.
+	memWallPageSize = 512
+	// memWallPages is the database size in pages: a 1 MiB database, so no
+	// feasible split of the wall caches the phase-A working set.
+	memWallPages = 2048
+	// memWallHotPages is the size of phase B's migrated hot set: 20 KiB,
+	// which only a cache-heavy split holds.
+	memWallHotPages = 40
+	// memWallReadsHot is how many hot pages each phase-B query touches.
+	memWallReadsHot = 6
+	// memWallCycleEvery is how many queries pass between arbitration cycles.
+	memWallCycleEvery = 10
+	// memWallStepBytes is the arbiter's per-cycle transfer bound.
+	memWallStepBytes = 8192
+	// memWallMinQueries floors the workload length. The phase-A cost
+	// surface has 32×32 cells: below a few thousand queries no feasible
+	// model can resolve it, every split ties on phase A, and the cell
+	// comparison measures noise. The whole four-cell run stays under a
+	// second; default-scale and -quick runs both land here.
+	memWallMinQueries = 5000
+)
 
-func (c MemWallConfig) withDefaults() MemWallConfig {
-	if c.TotalBytes == 0 {
-		c.TotalBytes = 32 << 10
-	}
-	if c.PageSize == 0 {
-		c.PageSize = 512
-	}
-	if c.Pages == 0 {
-		c.Pages = 2048
-	}
-	if c.HotPages == 0 {
-		c.HotPages = 40
-	}
-	if c.ReadsHot == 0 {
-		c.ReadsHot = 6
-	}
-	if len(c.Splits) == 0 {
-		c.Splits = []float64{0.25, 0.5, 0.75}
-	}
-	if c.CycleEvery == 0 {
-		c.CycleEvery = 10
-	}
-	if c.StepBytes == 0 {
-		c.StepBytes = 8192
-	}
-	if c.MinQueries == 0 {
-		c.MinQueries = 5000
-	}
-	return c
-}
+// memWallSplits are the static model fractions of the wall the arbiter is
+// judged against.
+var memWallSplits = []float64{0.25, 0.5, 0.75}
 
 // MemWallRow is one contender's outcome over the full two-phase workload.
 type MemWallRow struct {
@@ -111,28 +80,25 @@ func (r MemWallRow) Total() float64 { return r.IOCost + r.Mispredict }
 // pages — every byte is worth more in the cache, which serves the whole
 // phase from memory once it holds the hot set. The same seeded workload
 // runs under each static split and under the arbiter (starting at 50/50,
-// cycling every CycleEvery queries), and the summed IO + misprediction
+// cycling every memWallCycleEvery queries), and the summed IO + misprediction
 // cost is compared.
 //
 // MemWall errors if the arbiter does not beat every static split, if any
 // cycle fails, or if arbitration leaks bytes (the grants must sum to the
 // wall after every cycle). The arbiter's row is returned last.
-func MemWall(cfg MemWallConfig, opts Options) ([]MemWallRow, error) {
+func MemWall(opts Options) ([]MemWallRow, error) {
 	opts = opts.withDefaults()
-	cfg = cfg.withDefaults()
-	if opts.Queries < cfg.MinQueries {
-		opts.Queries = cfg.MinQueries
-	}
+	opts.Queries = max(opts.Queries, memWallMinQueries)
 
 	var rows []MemWallRow
-	for _, frac := range cfg.Splits {
-		row, err := runMemWallCell(fmt.Sprintf("static-%d", int(frac*100+0.5)), frac, false, cfg, opts)
+	for _, frac := range memWallSplits {
+		row, err := runMemWallCell(fmt.Sprintf("static-%d", int(frac*100+0.5)), frac, false, opts)
 		if err != nil {
 			return nil, fmt.Errorf("memwall: %w", err)
 		}
 		rows = append(rows, row)
 	}
-	arb, err := runMemWallCell("arbiter", 0.5, true, cfg, opts)
+	arb, err := runMemWallCell("arbiter", 0.5, true, opts)
 	if err != nil {
 		return nil, fmt.Errorf("memwall: %w", err)
 	}
@@ -155,17 +121,17 @@ func memWallReads(p geom.Point) int {
 	return 1 + (gx*7+gy*13)%8
 }
 
-func runMemWallCell(name string, frac float64, arbitrated bool, cfg MemWallConfig, opts Options) (MemWallRow, error) {
-	modelBytes := int(frac * float64(cfg.TotalBytes))
-	cachePages := (cfg.TotalBytes - modelBytes) / cfg.PageSize
+func runMemWallCell(name string, frac float64, arbitrated bool, opts Options) (MemWallRow, error) {
+	modelBytes := int(frac * float64(memWallTotalBytes))
+	cachePages := (memWallTotalBytes - modelBytes) / memWallPageSize
 	row := MemWallRow{Name: name, ModelStart: modelBytes, CacheStart: cachePages}
 
-	store, err := pagestore.New(cfg.PageSize)
+	store, err := pagestore.New(memWallPageSize)
 	if err != nil {
 		return row, err
 	}
 	payload := make([]byte, 8)
-	for i := 0; i < cfg.Pages; i++ {
+	for i := 0; i < memWallPages; i++ {
 		id := store.Alloc()
 		payload[0] = byte(i)
 		if err := store.Write(id, payload); err != nil {
@@ -202,8 +168,8 @@ func runMemWallCell(name string, frac float64, arbitrated bool, cfg MemWallConfi
 		// it can claw back bytes the cache just won. The 8-page cache
 		// floor keeps a live ghost window through the model-hungry phase,
 		// so the cache can still bid when the hot set arrives.
-		guard := opts.Queries / cfg.CycleEvery / 20
-		arb, err = budget.New(budget.Config{StepBytes: cfg.StepBytes, Hysteresis: 1, ReversalGuard: guard},
+		guard := opts.Queries / memWallCycleEvery / 20
+		arb, err = budget.New(budget.Config{StepBytes: memWallStepBytes, Hysteresis: 1, ReversalGuard: guard},
 			budget.NewModelHolder("model", pub, 0),
 			budget.NewCacheHolder("cache", cache, 8))
 		if err != nil {
@@ -234,8 +200,8 @@ func runMemWallCell(name string, frac float64, arbitrated bool, cfg MemWallConfi
 			// ...whose UDF hammers a small hot set of pages, drawn at
 			// random so evictions re-reference inside the ghost window and
 			// the cache's capacity signal fires.
-			for j := 0; j < cfg.ReadsHot; j++ {
-				if _, err := cache.Get(pagestore.PageID(rng.Intn(cfg.HotPages))); err != nil {
+			for j := 0; j < memWallReadsHot; j++ {
+				if _, err := cache.Get(pagestore.PageID(rng.Intn(memWallHotPages))); err != nil {
 					return row, err
 				}
 			}
@@ -245,7 +211,7 @@ func runMemWallCell(name string, frac float64, arbitrated bool, cfg MemWallConfi
 			// model is for.
 			k := memWallReads(p)
 			for j := 0; j < k; j++ {
-				if _, err := cache.Get(pagestore.PageID((q*13 + j*977) % cfg.Pages)); err != nil {
+				if _, err := cache.Get(pagestore.PageID((q*13 + j*977) % memWallPages)); err != nil {
 					return row, err
 				}
 			}
@@ -263,13 +229,13 @@ func runMemWallCell(name string, frac float64, arbitrated bool, cfg MemWallConfi
 		if err := pub.Flush(); err != nil {
 			return row, err
 		}
-		if arb != nil && (q+1)%cfg.CycleEvery == 0 {
+		if arb != nil && (q+1)%memWallCycleEvery == 0 {
 			if _, err := arb.Cycle(); err != nil {
 				return row, fmt.Errorf("cycle at query %d: %w", q, err)
 			}
-			if got := arb.Stats().TotalBytes(); got != cfg.TotalBytes {
+			if got := arb.Stats().TotalBytes(); got != memWallTotalBytes {
 				return row, fmt.Errorf("query %d: grants sum to %d bytes, want the %d-byte wall",
-					q, got, cfg.TotalBytes)
+					q, got, memWallTotalBytes)
 			}
 		}
 	}

@@ -5,10 +5,10 @@ import "testing"
 // TestMemWallQuick is the CI smoke: the arbiter must beat every static
 // split, cycles must never fail, and the wall must not leak — MemWall
 // enforces all three internally. (The 600-query request is floored to
-// MinQueries; the experiment's cost surface needs the longer run, which
+// memWallMinQueries; the experiment's cost surface needs the longer run, which
 // still finishes in under a second.)
 func TestMemWallQuick(t *testing.T) {
-	rows, err := MemWall(MemWallConfig{}, Options{Seed: 1, Queries: 600})
+	rows, err := MemWall(Options{Seed: 1, Queries: 600})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,9 +36,7 @@ func TestNNComparison(t *testing.T) {
 	if mlq.TrainTime != 0 {
 		t.Error("MLQ has no a-priori training; TrainTime must be zero")
 	}
-	var sb strings.Builder
-	RenderNN(&sb, "GAUSS-RAND", rows)
-	out := sb.String()
+	out := tableString(RenderNN("GAUSS-RAND", rows))
 	if !strings.Contains(out, "NN") || !strings.Contains(out, "train time") {
 		t.Errorf("render incomplete:\n%s", out)
 	}
@@ -70,9 +68,8 @@ func TestLEOComparison(t *testing.T) {
 	if leoRow.NAE < mlq.NAE*0.8 {
 		t.Errorf("LEO (NAE %.4f) clearly beat MLQ (%.4f); unexpected given coarse grid", leoRow.NAE, mlq.NAE)
 	}
-	var sb strings.Builder
-	RenderLEO(&sb, "GAUSS-RAND", rows)
-	if !strings.Contains(sb.String(), "LEO") {
+	out := tableString(RenderLEO("GAUSS-RAND", rows))
+	if !strings.Contains(out, "LEO") {
 		t.Error("render incomplete")
 	}
 }
@@ -95,9 +92,8 @@ func TestCachePolicies(t *testing.T) {
 			}
 		}
 	}
-	var sb strings.Builder
-	RenderCachePolicies(&sb, rows)
-	if !strings.Contains(sb.String(), "fifo") {
-		t.Errorf("render missing policies:\n%s", sb.String())
+	out := tableString(RenderCachePolicies(rows))
+	if !strings.Contains(out, "fifo") {
+		t.Errorf("render missing policies:\n%s", out)
 	}
 }

@@ -188,7 +188,7 @@ func Fig12Real(u udf.UDF, windows int, opts Options) ([]Fig12Series, error) {
 		if err != nil {
 			return nil, err
 		}
-		curve, err := metrics.NewCurve(maxInt(opts.Queries/windows, 1))
+		curve, err := metrics.NewCurve(max(opts.Queries/windows, 1))
 		if err != nil {
 			return nil, err
 		}
@@ -209,11 +209,4 @@ func Fig12Real(u udf.UDF, windows int, opts Options) ([]Fig12Series, error) {
 		out = append(out, Fig12Series{Workload: u.Name(), Method: m, Points: curve.Points()})
 	}
 	return out, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

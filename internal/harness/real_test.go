@@ -76,9 +76,8 @@ func TestFig9GridSmall(t *testing.T) {
 	if len(rows) != 3 { // 1 UDF x 3 distributions
 		t.Fatalf("got %d rows", len(rows))
 	}
-	var sb strings.Builder
-	RenderFig9(&sb, "Figure 9", rows)
-	if !strings.Contains(sb.String(), "SIMPLE") {
+	out := tableString(RenderFig9("Figure 9", rows))
+	if !strings.Contains(out, "SIMPLE") {
 		t.Error("render missing UDF name")
 	}
 }

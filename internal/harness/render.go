@@ -3,9 +3,11 @@ package harness
 import (
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"time"
 
+	"mlq/internal/metrics"
 	"mlq/internal/quadtree"
 )
 
@@ -19,8 +21,12 @@ type Table struct {
 // AddRow appends one row of cells.
 func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 
-// Fprint writes the table to w with aligned columns.
+// Fprint writes the table to w with aligned columns. A table without a
+// header (an experiment that produced no rows) writes nothing.
 func (t *Table) Fprint(w io.Writer) {
+	if len(t.Header) == 0 {
+		return
+	}
 	widths := make([]int, len(t.Header))
 	for i, h := range t.Header {
 		widths[i] = len(h)
@@ -58,11 +64,19 @@ func (t *Table) Fprint(w io.Writer) {
 // f4 formats a float with four decimals.
 func f4(v float64) string { return fmt.Sprintf("%.4f", v) }
 
+// naeCell formats an NAE, or "-" when nothing was scored (NaN).
+func naeCell(v float64) string {
+	if math.IsNaN(v) {
+		return "-"
+	}
+	return f4(v)
+}
+
 // pct formats a fraction as a percentage with four decimals.
 func pct(v float64) string { return fmt.Sprintf("%.4f%%", v*100) }
 
-// RenderFig8 prints Figure 8's rows; replicated runs show mean±std.
-func RenderFig8(w io.Writer, rows []Fig8Row) {
+// RenderFig8 renders Figure 8's rows; replicated runs show mean±std.
+func RenderFig8(rows []Fig8Row) Table {
 	t := Table{
 		Title:  "Figure 8: prediction accuracy (NAE) vs number of peaks, synthetic UDFs",
 		Header: []string{"dist", "peaks", "MLQ-E", "MLQ-L", "SH-H", "SH-W"},
@@ -77,11 +91,11 @@ func RenderFig8(w io.Writer, rows []Fig8Row) {
 		t.AddRow(r.Dist.String(), fmt.Sprint(r.Peaks),
 			cell(r, MLQE), cell(r, MLQL), cell(r, SHH), cell(r, SHW))
 	}
-	t.Fprint(w)
+	return t
 }
 
-// RenderFig9 prints Figure 9's (or 11(a)'s) rows.
-func RenderFig9(w io.Writer, title string, rows []Fig9Row) {
+// RenderFig9 renders Figure 9's (or 11(a)'s) rows.
+func RenderFig9(title string, rows []Fig9Row) Table {
 	t := Table{
 		Title:  title,
 		Header: []string{"udf", "dist", "MLQ-E", "MLQ-L", "SH-H", "SH-W"},
@@ -90,11 +104,11 @@ func RenderFig9(w io.Writer, title string, rows []Fig9Row) {
 		t.AddRow(r.UDF, r.Dist.String(),
 			f4(r.NAE[MLQE]), f4(r.NAE[MLQL]), f4(r.NAE[SHH]), f4(r.NAE[SHW]))
 	}
-	t.Fprint(w)
+	return t
 }
 
-// RenderFig10 prints Figure 10's modeling-cost breakdowns.
-func RenderFig10(w io.Writer, title string, rows []CostBreakdown) {
+// RenderFig10 renders Figure 10's modeling-cost breakdowns.
+func RenderFig10(title string, rows []CostBreakdown) Table {
 	t := Table{
 		Title:  title,
 		Header: []string{"workload", "method", "PC", "IC", "CC", "MUC", "compressions"},
@@ -103,11 +117,11 @@ func RenderFig10(w io.Writer, title string, rows []CostBreakdown) {
 		t.AddRow(r.Workload, r.Method.String(),
 			pct(r.PC), pct(r.IC), pct(r.CC), pct(r.MUC), fmt.Sprint(r.Compressions))
 	}
-	t.Fprint(w)
+	return t
 }
 
-// RenderFig11b prints Figure 11(b)'s noise sweep.
-func RenderFig11b(w io.Writer, rows []Fig11bRow) {
+// RenderFig11b renders Figure 11(b)'s noise sweep.
+func RenderFig11b(rows []Fig11bRow) Table {
 	t := Table{
 		Title:  "Figure 11(b): prediction accuracy (NAE) vs noise probability, synthetic UDFs, beta=10",
 		Header: []string{"noiseP", "MLQ-E", "MLQ-L", "SH-H", "SH-W"},
@@ -116,37 +130,45 @@ func RenderFig11b(w io.Writer, rows []Fig11bRow) {
 		t.AddRow(fmt.Sprintf("%.2f", r.NoiseP),
 			f4(r.NAE[MLQE]), f4(r.NAE[MLQL]), f4(r.NAE[SHH]), f4(r.NAE[SHW]))
 	}
-	t.Fprint(w)
+	return t
 }
 
-// RenderFig12 prints Figure 12's learning curves, one column per series.
-func RenderFig12(w io.Writer, title string, series []Fig12Series) {
-	if len(series) == 0 {
-		return
-	}
-	header := []string{"queries"}
+// RenderFig12 renders Figure 12's learning curves, one column per series.
+func RenderFig12(title string, series []Fig12Series) Table {
+	var names []string
+	var curves [][]metrics.CurvePoint
 	for _, s := range series {
-		header = append(header, fmt.Sprintf("%s/%s", s.Workload, s.Method))
+		names = append(names, fmt.Sprintf("%s/%s", s.Workload, s.Method))
+		curves = append(curves, s.Points)
 	}
-	t := Table{Title: title, Header: header}
-	for i := 0; i < len(series[0].Points); i++ {
-		row := []string{fmt.Sprint(series[0].Points[i].N)}
-		for _, s := range series {
-			if i < len(s.Points) {
-				row = append(row, f4(s.Points[i].NAE))
+	return curveTable(title, names, curves)
+}
+
+// curveTable tabulates windowed NAE curves, one column per named curve, one
+// row per window of the first; a shorter curve pads with "-".
+func curveTable(title string, names []string, curves [][]metrics.CurvePoint) Table {
+	if len(curves) == 0 {
+		return Table{}
+	}
+	t := Table{Title: title, Header: append([]string{"queries"}, names...)}
+	for i, p := range curves[0] {
+		row := []string{fmt.Sprint(p.N)}
+		for _, c := range curves {
+			if i < len(c) {
+				row = append(row, f4(c[i].NAE))
 			} else {
 				row = append(row, "-")
 			}
 		}
 		t.AddRow(row...)
 	}
-	t.Fprint(w)
+	return t
 }
 
-// RenderAblation prints a parameter sweep.
-func RenderAblation(w io.Writer, rows []AblationRow) {
+// RenderAblation renders a parameter sweep.
+func RenderAblation(rows []AblationRow) Table {
 	if len(rows) == 0 {
-		return
+		return Table{}
 	}
 	workload := "uniform queries"
 	switch rows[0].Param {
@@ -166,41 +188,28 @@ func RenderAblation(w io.Writer, rows []AblationRow) {
 		}
 		t.AddRow(value, r.Method.String(), f4(r.NAE), fmt.Sprint(r.Compressions))
 	}
-	t.Fprint(w)
+	return t
 }
 
-// RenderShift prints the workload-shift experiment: per-window error curves
+// RenderShift renders the workload-shift experiment: per-window error curves
 // and before/after aggregates for every method.
-func RenderShift(w io.Writer, series []ShiftSeries) {
+func RenderShift(series []ShiftSeries) []Table {
 	if len(series) == 0 {
-		return
+		return nil
 	}
-	header := []string{"queries"}
+	var names []string
+	var curves [][]metrics.CurvePoint
+	agg := Table{Title: "Aggregate NAE before/after the shift", Header: []string{"method", "before", "after"}}
 	for _, s := range series {
-		header = append(header, s.Method.String())
-	}
-	t := Table{Title: "Workload shift: NAE per window (clusters move at the midpoint)", Header: header}
-	for i := 0; i < len(series[0].Points); i++ {
-		row := []string{fmt.Sprint(series[0].Points[i].N)}
-		for _, s := range series {
-			if i < len(s.Points) {
-				row = append(row, f4(s.Points[i].NAE))
-			} else {
-				row = append(row, "-")
-			}
-		}
-		t.AddRow(row...)
-	}
-	t.Fprint(w)
-	agg := Table{Title: "\nAggregate NAE before/after the shift", Header: []string{"method", "before", "after"}}
-	for _, s := range series {
+		names = append(names, s.Method.String())
+		curves = append(curves, s.Points)
 		agg.AddRow(s.Method.String(), f4(s.Before), f4(s.After))
 	}
-	agg.Fprint(w)
+	return []Table{curveTable("Workload shift: NAE per window (clusters move at the midpoint)", names, curves), agg}
 }
 
-// RenderNN prints the neural-network comparison.
-func RenderNN(w io.Writer, kind string, rows []NNRow) {
+// RenderNN renders the neural-network comparison.
+func RenderNN(kind string, rows []NNRow) Table {
 	t := Table{
 		Title:  fmt.Sprintf("Neural-network baseline (Boulos et al.) vs SH-H and MLQ-E (synthetic, %s)", kind),
 		Header: []string{"method", "NAE", "train time", "run time"},
@@ -212,11 +221,11 @@ func RenderNN(w io.Writer, kind string, rows []NNRow) {
 		}
 		t.AddRow(r.Name, f4(r.NAE), train, r.RunTime.Round(time.Millisecond).String())
 	}
-	t.Fprint(w)
+	return t
 }
 
-// RenderLEO prints the LEO storage-efficiency comparison.
-func RenderLEO(w io.Writer, kind string, rows []LEORow) {
+// RenderLEO renders the LEO storage-efficiency comparison.
+func RenderLEO(kind string, rows []LEORow) Table {
 	t := Table{
 		Title:  fmt.Sprintf("LEO-style learning optimizer vs MLQ-E (synthetic, %s)", kind),
 		Header: []string{"method", "NAE", "peak memory (bytes)"},
@@ -224,11 +233,11 @@ func RenderLEO(w io.Writer, kind string, rows []LEORow) {
 	for _, r := range rows {
 		t.AddRow(r.Name, f4(r.NAE), fmt.Sprint(r.PeakMemory))
 	}
-	t.Fprint(w)
+	return t
 }
 
-// RenderMemCurve prints the accuracy-vs-memory sweep.
-func RenderMemCurve(w io.Writer, kind string, rows []MemCurveRow) {
+// RenderMemCurve renders the accuracy-vs-memory sweep.
+func RenderMemCurve(kind string, rows []MemCurveRow) Table {
 	t := Table{
 		Title:  fmt.Sprintf("Accuracy vs memory budget (synthetic, %s)", kind),
 		Header: []string{"bytes", "MLQ-E", "MLQ-L", "SH-H", "SH-W"},
@@ -237,11 +246,11 @@ func RenderMemCurve(w io.Writer, kind string, rows []MemCurveRow) {
 		t.AddRow(fmt.Sprint(r.MemoryBytes),
 			f4(r.NAE[MLQE]), f4(r.NAE[MLQL]), f4(r.NAE[SHH]), f4(r.NAE[SHW]))
 	}
-	t.Fprint(w)
+	return t
 }
 
-// RenderMemWall prints the global-memory-wall experiment.
-func RenderMemWall(w io.Writer, rows []MemWallRow) {
+// RenderMemWall renders the global-memory-wall experiment.
+func RenderMemWall(rows []MemWallRow) Table {
 	t := Table{
 		Title: "Global memory wall: one budget split between cost model and buffer cache\n" +
 			"(migrating hot set; total = physical-read cost + |predicted-actual| cost)",
@@ -260,11 +269,11 @@ func RenderMemWall(w io.Writer, rows []MemWallRow) {
 			fmt.Sprintf("%.1f", r.Total()),
 			fmt.Sprint(r.Moves), fmt.Sprint(r.BytesMoved))
 	}
-	t.Fprint(w)
+	return t
 }
 
-// RenderCachePolicies prints the cache-policy IO-noise experiment.
-func RenderCachePolicies(w io.Writer, rows []CachePolicyRow) {
+// RenderCachePolicies renders the cache-policy IO-noise experiment.
+func RenderCachePolicies(rows []CachePolicyRow) Table {
 	t := Table{
 		Title:  "IO-cost prediction accuracy (NAE) by buffer-cache replacement policy (WIN, GAUSS-RAND, beta=10)",
 		Header: []string{"policy", "MLQ-E", "SH-H"},
@@ -272,11 +281,11 @@ func RenderCachePolicies(w io.Writer, rows []CachePolicyRow) {
 	for _, r := range rows {
 		t.AddRow(r.Policy.String(), f4(r.NAE[MLQE]), f4(r.NAE[SHH]))
 	}
-	t.Fprint(w)
+	return t
 }
 
-// RenderChaosLatency prints the slow-disk resilience experiment.
-func RenderChaosLatency(w io.Writer, rows []ChaosLatencyCell) {
+// RenderChaosLatency renders the slow-disk resilience experiment.
+func RenderChaosLatency(rows []ChaosLatencyCell) Table {
 	t := Table{
 		Title: "Chaos latency: IO-cost accuracy vs disk degradation (SIMPLE + WIN;\n" +
 			"injected slow reads + transient read faults, charged into observations via the retry policy)",
@@ -292,11 +301,11 @@ func RenderChaosLatency(w io.Writer, rows []ChaosLatencyCell) {
 			fmt.Sprintf("%d", c.Journaled), fmt.Sprintf("%d", c.Replayed),
 		)
 	}
-	t.Fprint(w)
+	return t
 }
 
-// RenderChaos prints the chaos experiment's degradation table.
-func RenderChaos(w io.Writer, rows []ChaosCell) {
+// RenderChaos renders the chaos experiment's degradation table.
+func RenderChaos(rows []ChaosCell) []Table {
 	t := Table{
 		Title: "Chaos: accuracy degradation vs fault rate (SIMPLE + WIN, CPU cost;\n" +
 			"faults: corrupted observations, UDF panics, page-read failures, torn catalog writes)",
@@ -313,17 +322,13 @@ func RenderChaos(w io.Writer, rows []ChaosCell) {
 			fmt.Sprintf("%d", c.Saves), fmt.Sprintf("%d", c.Degraded),
 		)
 	}
-	t.Fprint(w)
-
 	health := Table{
-		Title: "\nPer-UDF fault handling (engine.Health: recovered panics and observation-guard state)",
+		Title: "Per-UDF fault handling (engine.Health: recovered panics and observation-guard state)",
 		Header: []string{"rate", "udf", "exec-failures", "fed", "quarantined",
 			"rejected", "skipped", "trips", "breaker"},
 	}
-	any := false
 	for _, c := range rows {
 		for _, h := range c.Health {
-			any = true
 			breaker := "closed"
 			if h.Guard.Open {
 				breaker = "OPEN"
@@ -337,17 +342,18 @@ func RenderChaos(w io.Writer, rows []ChaosCell) {
 			)
 		}
 	}
-	if any {
-		health.Fprint(w)
+	if len(health.Rows) == 0 {
+		return []Table{t}
 	}
+	return []Table{t, health}
 }
 
-// RenderConcurrency prints the concurrency experiment: prediction throughput
+// RenderConcurrency renders the concurrency experiment: prediction throughput
 // of the mutex baseline and the snapshot publisher as reader parallelism
 // grows, plus the publisher's staleness bound in practice. Throughputs are
 // wall-clock measurements and vary with the machine; the speedup column is
 // the figure of merit.
-func RenderConcurrency(w io.Writer, rows []ConcurrencyRow) {
+func RenderConcurrency(rows []ConcurrencyRow) Table {
 	t := Table{
 		Title: "Concurrency: prediction throughput, N predictors + 1 observer\n" +
 			"(mutex = core.Synchronized baseline; snapshot = core.Publisher epoch publishing)",
@@ -363,12 +369,12 @@ func RenderConcurrency(w io.Writer, rows []ConcurrencyRow) {
 			fmt.Sprintf("%d", r.FinalEpoch),
 		)
 	}
-	t.Fprint(w)
+	return t
 }
 
-// RenderChaosRepl prints the replication chaos experiment: per-scenario
+// RenderChaosRepl renders the replication chaos experiment: per-scenario
 // convergence and loss accounting for the replicated model fleet.
-func RenderChaosRepl(w io.Writer, rows []ChaosReplCell) {
+func RenderChaosRepl(rows []ChaosReplCell) Table {
 	t := Table{
 		Title: "Chaos replication: journal-streaming followers, fenced failover, partition heal\n" +
 			"(every scenario converged byte-identically; acked loss bounded by one batch)",
@@ -377,7 +383,7 @@ func RenderChaosRepl(w io.Writer, rows []ChaosReplCell) {
 	}
 	for _, c := range rows {
 		t.AddRow(
-			c.Scenario, f4(c.NAE),
+			c.Scenario, naeCell(c.NAE),
 			fmt.Sprintf("%d", c.Acked), fmt.Sprintf("%d", c.AckedLost),
 			fmt.Sprintf("%d", c.Failovers), fmt.Sprintf("%d", c.FencedWrites),
 			fmt.Sprintf("%d", c.MaxLag), fmt.Sprintf("%d", c.Catchup),
@@ -386,13 +392,13 @@ func RenderChaosRepl(w io.Writer, rows []ChaosReplCell) {
 			fmt.Sprintf("%d", c.Partitioned),
 		)
 	}
-	t.Fprint(w)
+	return t
 }
 
-// RenderChaosNet prints the networked replication chaos experiment: the
+// RenderChaosNet renders the networked replication chaos experiment: the
 // ChaosRepl fault stories over real loopback sockets, plus the socket
 // layer's own accounting and the resumable-bootstrap scenario.
-func RenderChaosNet(w io.Writer, rows []ChaosNetCell) {
+func RenderChaosNet(rows []ChaosNetCell) Table {
 	t := Table{
 		Title: "Chaos replication over sockets: reconnect/backoff, heartbeat liveness, resumable bootstrap\n" +
 			"(same convergence assertions as chaosrepl, carried by the TCP transport under socket-level chaos)",
@@ -401,7 +407,7 @@ func RenderChaosNet(w io.Writer, rows []ChaosNetCell) {
 	}
 	for _, c := range rows {
 		t.AddRow(
-			c.Scenario, f4(c.NAE),
+			c.Scenario, naeCell(c.NAE),
 			fmt.Sprintf("%d", c.Acked), fmt.Sprintf("%d", c.AckedLost),
 			fmt.Sprintf("%d", c.Failovers), fmt.Sprintf("%d", c.Catchup),
 			fmt.Sprintf("%d", c.Dropped), fmt.Sprintf("%d", c.Partitioned),
@@ -410,5 +416,5 @@ func RenderChaosNet(w io.Writer, rows []ChaosNetCell) {
 			fmt.Sprintf("%d", c.BootstrapChunks), fmt.Sprintf("%d", c.BootstrapResumes),
 		)
 	}
-	t.Fprint(w)
+	return t
 }

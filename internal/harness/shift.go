@@ -68,7 +68,7 @@ func Shift(windows int, opts Options) ([]ShiftSeries, error) {
 		if err != nil {
 			return nil, err
 		}
-		curve, err := metrics.NewCurve(maxInt(n/windows, 1))
+		curve, err := metrics.NewCurve(max(n/windows, 1))
 		if err != nil {
 			return nil, err
 		}
