@@ -173,6 +173,9 @@ type resizeRequest struct {
 	done  chan error
 }
 
+// DefaultMaxBatch is PublisherConfig.MaxBatch's default.
+const DefaultMaxBatch = 64
+
 // PublisherConfig tunes the writer side of a Publisher. The zero value is
 // usable.
 type PublisherConfig struct {
@@ -209,7 +212,7 @@ func (c PublisherConfig) withDefaults() PublisherConfig {
 		c.QueueCapacity = 1024
 	}
 	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
+		c.MaxBatch = DefaultMaxBatch
 	}
 	return c
 }

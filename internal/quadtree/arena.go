@@ -31,7 +31,9 @@ import "math"
 // Slot allocation is append-only between compression passes, so ascending
 // slot number is ascending creation time; the stable compaction at the end
 // of each pass (see compress) preserves relative order, keeping the
-// invariant across the tree's whole lifetime.
+// invariant across the tree's whole lifetime. The kids slice has no such
+// order: spans are relocated to its tail as they grow, and compactKids
+// keeps them in offset order.
 
 // noParent marks the root's parent slot.
 const noParent = int32(-1)
@@ -176,23 +178,69 @@ func (a *arena) creationOrder(n int32, buf []kidRef) []kidRef {
 	return buf
 }
 
-// compactKids rewrites the kids slice without garbage, walking node slots in
-// order so every span stays contiguous and index-sorted.
+// leafCount returns the number of slots with no children.
+func (a *arena) leafCount() int {
+	n := 0
+	for i := range a.nodes {
+		if a.nodes[i].kidLen == 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// compactKids squeezes the garbage out of the kids slice in place. It
+// first marks every live span: the span's first entry holds its owner,
+// encoded as -(owner+2), and the owner's kidOff holds that entry's ref
+// meanwhile. Live refs are at least 1, and a garbage entry is a stale copy
+// of a live one or, after compactNodes, -1 for a removed slot, so a ref of
+// -2 or below is a mark and nothing else. A
+// sweep in offset order then moves each marked span down to the write
+// position, which never passes the read position, so no span is
+// overwritten before it moves. Both loops walk their slice in order, which
+// keeps the pass cache-friendly on large trees. Spans keep their contents
+// (index-sorted) but not their order by slot; nothing reads that order —
+// enumeration goes through creationOrder. Leaves get the empty span at
+// offset 0.
+//
+// The slice is reallocated only when its spare capacity exceeds a quarter
+// of its length, so a tree that shrank does not keep its largest kids
+// slice; the new one has an eighth of spare room, enough for the span
+// relocations between two compression passes of a tree at its budget, so
+// that one pass's shrink is not undone by the next few inserts' growth and
+// redone by the next pass.
 func (a *arena) compactKids() {
 	if a.kidGarbage == 0 {
 		return
 	}
-	fresh := make([]kidRef, 0, len(a.kids)-a.kidGarbage)
-	for i := range a.nodes {
-		nd := &a.nodes[i]
-		if nd.parent == deadParent {
+	for o := range a.nodes {
+		nd := &a.nodes[o]
+		if nd.kidLen == 0 {
+			nd.kidOff = 0
 			continue
 		}
-		off := int32(len(fresh))
-		fresh = append(fresh, a.kids[nd.kidOff:nd.kidOff+nd.kidLen]...)
-		nd.kidOff = off
+		first := &a.kids[nd.kidOff]
+		nd.kidOff, first.ref = first.ref, -int32(o)-2
 	}
-	a.kids = fresh
+	w := 0
+	for p := 0; p < len(a.kids); {
+		r := a.kids[p].ref
+		if r > -2 {
+			p++ // garbage
+			continue
+		}
+		nd := &a.nodes[-r-2]
+		a.kids[p].ref = nd.kidOff
+		n := int(nd.kidLen)
+		copy(a.kids[w:], a.kids[p:p+n])
+		nd.kidOff = int32(w)
+		w += n
+		p += n
+	}
+	a.kids = a.kids[:w]
+	if cap(a.kids)-w > w/4 {
+		a.kids = append(make([]kidRef, 0, w+w/8), a.kids...)
+	}
 	a.kidGarbage = 0
 }
 

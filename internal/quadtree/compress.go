@@ -1,9 +1,6 @@
 package quadtree
 
-import (
-	"container/heap"
-	"time"
-)
+import "time"
 
 // heapItem pairs a leaf candidate with its (fixed) SSEG key. SSEG values do
 // not change while compression runs — removing a leaf leaves every other
@@ -14,19 +11,65 @@ type heapItem struct {
 	sseg float64
 }
 
-// leafHeap is a min-heap of removal candidates ordered by SSEG.
+// leafHeap is a min-heap of removal candidates ordered by SSEG. init, push
+// and pop make exactly the comparisons and swaps of container/heap's Init,
+// Push and Pop, in the same order, so the pop sequence — ties included —
+// is the one the interface-based heap produced; only the interface calls
+// and the boxing of every pushed and popped item are gone.
 type leafHeap []heapItem
 
-func (h leafHeap) Len() int            { return len(h) }
-func (h leafHeap) Less(i, j int) bool  { return h[i].sseg < h[j].sseg }
-func (h leafHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *leafHeap) Push(x interface{}) { *h = append(*h, x.(heapItem)) }
-func (h *leafHeap) Pop() interface{} {
+// init heapifies h in place (container/heap.Init).
+func (h leafHeap) init() {
+	n := len(h)
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i, n)
+	}
+}
+
+// push adds it to the heap (container/heap.Push).
+func (h *leafHeap) push(it heapItem) {
+	*h = append(*h, it)
+	h.up(len(*h) - 1)
+}
+
+// pop removes and returns the minimum item (container/heap.Pop).
+func (h *leafHeap) pop() heapItem {
 	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+	n := len(old) - 1
+	old[0], old[n] = old[n], old[0]
+	old.down(0, n)
+	*h = old[:n]
+	return old[n]
+}
+
+func (h leafHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].sseg < h[i].sseg) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h leafHeap) down(i0, n int) {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h[j2].sseg < h[j1].sseg {
+			j = j2 // right child
+		}
+		if !(h[j].sseg < h[i].sseg) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // victimKey returns the ordering key for compression victims under the
@@ -65,9 +108,13 @@ func (t *Tree) Compress() { t.compress() }
 // Victims are collected depth-first with children visited in creation
 // order — the same enumeration the pointer-linked implementation's child
 // slices produced — so heap layout, tie-breaking and the stateful random
-// policy's key assignment are all preserved bit-for-bit. The pass ends with
-// a stable arena compaction, which keeps slot order equal to creation order
-// for the next pass.
+// policy's key assignment are all preserved bit-for-bit. The heap is a
+// typed copy of container/heap's algorithm (see leafHeap), so the pop order
+// is unchanged too. The pass ends with a stable arena compaction, which
+// keeps slot order equal to creation order for the next pass. Every buffer
+// whose size follows the tree's (the heap, the compaction's remap table)
+// lives only for the pass; only the depth-bounded collection stack is kept
+// on the Tree.
 func (t *Tree) compress() {
 	//lint:ignore detertime stopwatch feeding APC/AUC accounting; the duration is never consulted by any decision
 	start := time.Now()
@@ -87,41 +134,42 @@ func (t *Tree) compress() {
 	}()
 
 	key := t.victimKey()
-	h := make(leafHeap, 0, t.nodeCount)
-	// The collect recursion reuses one scratch buffer for the per-level
-	// creation-order views; each level records its own window into it.
-	scratch := t.collectScratch[:0]
-	var collect func(n int32)
-	collect = func(n int32) {
+	// Every pop precedes at most one push, so the heap never outgrows the
+	// initial leaf set.
+	h := make(leafHeap, 0, t.a.leafCount())
+	// An explicit stack replaces the recursive descent: children are pushed
+	// in reverse creation order, so they pop — and their subtrees are
+	// visited — in creation order, the recursion's pre-order.
+	stack := append(t.collectScratch[:0], kidRef{ref: 0})
+	for len(stack) > 0 {
+		n := stack[len(stack)-1].ref
+		stack = stack[:len(stack)-1]
 		if t.a.isLeaf(n) {
 			if n != 0 {
 				h = append(h, heapItem{ref: n, sseg: key(n)})
 			}
-			return
+			continue
 		}
-		base := len(scratch)
-		scratch = t.a.creationOrder(n, scratch)
-		for i := base; i < len(scratch); i++ {
-			collect(scratch[i].ref)
+		base := len(stack)
+		stack = t.a.creationOrder(n, stack)
+		for i, j := base, len(stack)-1; i < j; i, j = i+1, j-1 {
+			stack[i], stack[j] = stack[j], stack[i]
 		}
-		scratch = scratch[:base]
 	}
-	collect(0)
-	t.collectScratch = scratch[:0]
-	heap.Init(&h)
-	t.ssegQueueDepth = h.Len()
+	t.collectScratch = stack[:0]
+	h.init()
+	t.ssegQueueDepth = len(h)
 
 	needFree := int(t.cfg.Gamma * float64(t.cfg.MemoryLimit))
 	if needFree < t.cfg.NodeBytes {
 		needFree = t.cfg.NodeBytes // always make progress
 	}
 	freed := 0
-	for h.Len() > 0 {
+	for len(h) > 0 {
 		if freed >= needFree && t.MemoryUsed() <= t.cfg.MemoryLimit {
 			break
 		}
-		it := heap.Pop(&h).(heapItem)
-		leaf := it.ref
+		leaf := h.pop().ref
 		parent := t.a.nodes[leaf].parent
 		// Unlink. The parent's span holds the only reference to the leaf.
 		for _, c := range t.a.span(parent) {
@@ -135,7 +183,7 @@ func (t *Tree) compress() {
 		t.removedNodes++
 		freed += t.cfg.NodeBytes
 		if parent != 0 && t.a.isLeaf(parent) {
-			heap.Push(&h, heapItem{ref: parent, sseg: key(parent)})
+			h.push(heapItem{ref: parent, sseg: key(parent)})
 		}
 	}
 

@@ -199,8 +199,9 @@ type Tree struct {
 	compressTime    time.Duration
 	childCapacity   uint32 // 2^d
 
-	// collectScratch is the reusable creation-order buffer of the
-	// compression pass's victim collection (see compress).
+	// collectScratch is the reusable stack of the compression pass's
+	// victim collection (see compress); its length is bounded by depth
+	// times fan-out, not by the tree's size.
 	collectScratch []kidRef
 
 	tel *treeTelemetry // nil unless Instrument was called

@@ -32,7 +32,8 @@ type Config struct {
 	Transport Transport
 	// QueueCapacity and MaxBatch configure each term's Publisher (defaults
 	// as in core.PublisherConfig). MaxBatch also bounds the acknowledged
-	// observations a failover may lose, so chaos asserts against it.
+	// observations a failover may lose, so chaos asserts against it, and
+	// the records one follower view may cover (see node.pump).
 	QueueCapacity int
 	MaxBatch      int
 	// InboxCapacity bounds each follower's stream inbox (default 4096).
@@ -54,6 +55,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FetchAttempts <= 0 {
 		c.FetchAttempts = 8
+	}
+	if c.MaxBatch <= 0 {
+		c.MaxBatch = core.DefaultMaxBatch
 	}
 	return c
 }
@@ -178,6 +182,7 @@ func (g *Group) promoteLocked(id string, acked uint64) error {
 	model := n.mlq
 	n.mlq = nil
 	n.role = RolePrimary
+	n.unpublished = 0
 	n.pending = make(map[uint64]Record)
 	n.adoptTermLocked(term)
 	n.applied = acked

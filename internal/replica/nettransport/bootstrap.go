@@ -204,10 +204,12 @@ func (t *NetTransport) Bootstrap(from string) (*BootstrapResult, error) {
 			return nil, errClosed
 		}
 		if attempt > 0 {
+			tm := t.clk.NewTimer(t.backoff(attempt - 1))
 			select {
 			case <-t.closeCh:
+				tm.Stop()
 				return nil, errClosed
-			case <-t.clk.After(t.backoff(attempt - 1)):
+			case <-tm.C():
 			}
 		}
 		if token != 0 && len(chunks) > 0 {

@@ -7,33 +7,50 @@ import (
 )
 
 // Clock is the transport's injected time source: reconnect backoff, barrier
-// watchdogs and heartbeat cadence all wait through After, so tests drive the
+// watchdogs and heartbeat cadence all wait on its timers, so tests drive the
 // whole retry machinery with a FakeClock instead of wall-clock sleeps. Read
 // deadlines on sockets are anchored at Now.
 type Clock interface {
 	Now() time.Time
-	After(d time.Duration) <-chan time.Time
+	NewTimer(d time.Duration) Timer
+}
+
+// Timer is one pending wake-up from a Clock. Every wait that can end before
+// the timer fires stops it, so a finished wait holds no timer: a barrier
+// completes long before its watchdog's BarrierTimeout, and an unstopped
+// timer would stay live that long.
+type Timer interface {
+	// C delivers the fire time once.
+	C() <-chan time.Time
+	// Stop releases the timer if it has not fired yet.
+	Stop()
 }
 
 // wall is the production clock.
 type wall struct{}
 
-func (wall) Now() time.Time                         { return time.Now() }
-func (wall) After(d time.Duration) <-chan time.Time { return time.After(d) }
+func (wall) Now() time.Time                 { return time.Now() }
+func (wall) NewTimer(d time.Duration) Timer { return wallTimer{time.NewTimer(d)} }
+
+type wallTimer struct{ t *time.Timer }
+
+func (w wallTimer) C() <-chan time.Time { return w.t.C }
+func (w wallTimer) Stop()               { w.t.Stop() }
 
 // Wall is the production Clock.
 var Wall Clock = wall{}
 
-// FakeClock is a manually advanced Clock for deterministic tests: After
+// FakeClock is a manually advanced Clock for deterministic tests: NewTimer
 // registers a timer that fires when Advance moves the clock past its
-// deadline. Safe for concurrent use.
+// deadline, and Stop unregisters it. Safe for concurrent use.
 type FakeClock struct {
 	mu     sync.Mutex
 	now    time.Time
-	timers []fakeTimer
+	timers []*fakeTimer
 }
 
 type fakeTimer struct {
+	c  *FakeClock
 	at time.Time
 	ch chan time.Time
 }
@@ -50,19 +67,33 @@ func (c *FakeClock) Now() time.Time {
 	return c.now
 }
 
-// After implements Clock. A non-positive d fires immediately.
-func (c *FakeClock) After(d time.Duration) <-chan time.Time {
+// NewTimer implements Clock. A non-positive d fires immediately.
+func (c *FakeClock) NewTimer(d time.Duration) Timer {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ch := make(chan time.Time, 1)
-	at := c.now.Add(d)
+	t := &fakeTimer{c: c, at: c.now.Add(d), ch: make(chan time.Time, 1)}
 	if d <= 0 {
 		//lint:ignore chanowner capacity-1 channel written exactly once: an immediate fire never blocks
-		ch <- at
-		return ch
+		t.ch <- t.at
+		return t
 	}
-	c.timers = append(c.timers, fakeTimer{at: at, ch: ch})
-	return ch
+	c.timers = append(c.timers, t)
+	return t
+}
+
+func (t *fakeTimer) C() <-chan time.Time { return t.ch }
+
+// Stop drops the timer from the clock's pending list, if it is still there.
+func (t *fakeTimer) Stop() {
+	c := t.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, x := range c.timers {
+		if x == t {
+			c.timers = append(c.timers[:i], c.timers[i+1:]...)
+			return
+		}
+	}
 }
 
 // Advance moves the clock forward, firing every timer whose deadline is
@@ -70,7 +101,7 @@ func (c *FakeClock) After(d time.Duration) <-chan time.Time {
 func (c *FakeClock) Advance(d time.Duration) {
 	c.mu.Lock()
 	c.now = c.now.Add(d)
-	var due []fakeTimer
+	var due []*fakeTimer
 	keep := c.timers[:0]
 	for _, t := range c.timers {
 		if !t.at.After(c.now) {
@@ -79,6 +110,7 @@ func (c *FakeClock) Advance(d time.Duration) {
 			keep = append(keep, t)
 		}
 	}
+	clear(c.timers[len(keep):])
 	c.timers = keep
 	now := c.now
 	c.mu.Unlock()
@@ -89,8 +121,8 @@ func (c *FakeClock) Advance(d time.Duration) {
 	}
 }
 
-// Pending reports how many timers are waiting, so tests can advance until
-// the machinery under test has parked.
+// Pending reports how many timers are waiting — neither fired nor stopped —
+// so tests can advance until the machinery under test has parked.
 func (c *FakeClock) Pending() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -1,6 +1,7 @@
 package nettransport
 
 import (
+	"bufio"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -114,11 +115,14 @@ func (m *connMgr) ensureConn() (net.Conn, uint64, bool) {
 			return nil, 0, false
 		}
 		if m.t.partitionedTo(m.dst) {
+			tm := m.t.clk.NewTimer(m.t.cfg.BackoffBase * 4)
 			select {
 			case <-m.t.closeCh:
+				tm.Stop()
 				return nil, 0, false
 			case <-m.t.healSignal():
-			case <-m.t.clk.After(m.t.cfg.BackoffBase * 4):
+				tm.Stop()
+			case <-tm.C():
 			}
 			attempt = 0
 			continue
@@ -126,10 +130,12 @@ func (m *connMgr) ensureConn() (net.Conn, uint64, bool) {
 		if conn, gen, ok := m.dialOnce(); ok {
 			return conn, gen, true
 		}
+		tm := m.t.clk.NewTimer(m.t.backoff(attempt))
 		select {
 		case <-m.t.closeCh:
+			tm.Stop()
 			return nil, 0, false
-		case <-m.t.clk.After(m.t.backoff(attempt)):
+		case <-tm.C():
 		}
 	}
 }
@@ -164,32 +170,64 @@ func (m *connMgr) dialOnce() (net.Conn, uint64, bool) {
 	return nil, 0, false
 }
 
+// coalesceBytes bounds how many bytes of queued frames writeLoop gathers
+// into one socket write: a few dozen record frames, well under a loopback
+// or LAN send buffer.
+const coalesceBytes = 4 << 10
+
 // writeLoop streams queued frames and periodic heartbeats until the
 // connection dies, the ack reader declares it dead, or the transport
-// closes. Barrier markers are stamped with the connection generation before
-// they hit the wire, so teardown's sweep can recover the ones this exact
-// connection loses.
+// closes. Frames already queued behind the one that woke it are coalesced,
+// up to coalesceBytes, into one buffer and one Write; the wire format is
+// unchanged and queue order is kept, barrier frames included. Barrier
+// markers are stamped with the connection generation before they are
+// buffered, so teardown's sweep can recover the ones this exact connection
+// loses. A flush marker first writes what is buffered ahead of it, so its
+// waiter wakes only once those frames are on the socket.
 func (m *connMgr) writeLoop(conn net.Conn, gen uint64, dead chan struct{}, hbSeq *uint64) {
-	hb := m.t.clk.After(m.t.cfg.HeartbeatEvery)
+	hb := m.t.clk.NewTimer(m.t.cfg.HeartbeatEvery)
+	defer func() { hb.Stop() }()
+	buf := make([]byte, 0, coalesceBytes)
+	write := func() error {
+		if len(buf) == 0 {
+			return nil
+		}
+		_, err := conn.Write(buf)
+		buf = buf[:0]
+		return err
+	}
 	for {
 		select {
 		case it := <-m.queue:
-			switch {
-			case it.flush != nil:
-				//lint:ignore chanowner the flush marker rides the queue exactly once; the single dequeuer (writer or drain) is its one closing owner
-				close(it.flush)
-			case it.barrier != nil:
-				m.t.stampBarrier(it.barrier, gen)
-				if _, err := conn.Write(appendFrame(nil, encodeU64Frame(fmBarrier, it.barrier.id))); err != nil {
-					return
+			for {
+				switch {
+				case it.flush != nil:
+					err := write()
+					//lint:ignore chanowner the flush marker rides the queue exactly once; the single dequeuer (writer or drain) is its one closing owner
+					close(it.flush)
+					if err != nil {
+						return
+					}
+				case it.barrier != nil:
+					m.t.stampBarrier(it.barrier, gen)
+					buf = appendFrame(buf, encodeU64Frame(fmBarrier, it.barrier.id))
+				default:
+					buf = append(buf, it.frame...)
 				}
-			default:
-				if _, err := conn.Write(it.frame); err != nil {
-					return
+				if len(buf) < coalesceBytes {
+					select {
+					case it = <-m.queue:
+						continue
+					default:
+					}
 				}
+				break
 			}
-		case <-hb:
-			hb = m.t.clk.After(m.t.cfg.HeartbeatEvery)
+			if write() != nil {
+				return
+			}
+		case <-hb.C():
+			hb = m.t.clk.NewTimer(m.t.cfg.HeartbeatEvery)
 			*hbSeq++
 			if _, err := conn.Write(appendFrame(nil, encodeU64Frame(fmHeartbeat, *hbSeq))); err != nil {
 				return
@@ -350,10 +388,12 @@ func (ep *endpoint) acceptLoop() {
 			if ep.isClosed() || ep.t.isClosed() {
 				return
 			}
+			tm := ep.t.clk.NewTimer(time.Millisecond)
 			select {
 			case <-ep.done:
+				tm.Stop()
 				return
-			case <-ep.t.clk.After(time.Millisecond):
+			case <-tm.C():
 			}
 			continue
 		}
@@ -396,7 +436,8 @@ func (ep *endpoint) serveConn(conn net.Conn) {
 // counted and skipped (the stream stays aligned); a lost stream or an idle
 // timeout kills the connection and the dialer re-establishes it.
 func (ep *endpoint) streamLoop(conn net.Conn) {
-	fr := &frameReader{r: conn}
+	// Buffered: one read syscall fetches every frame the writer coalesced.
+	fr := &frameReader{r: bufio.NewReader(conn)}
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(ep.t.cfg.ReadIdleTimeout))
 		p, err := fr.next()

@@ -322,6 +322,8 @@ func (t *NetTransport) Barrier(to string) (chan struct{}, error) {
 // barrier would wedge the group's drain pattern forever.
 func (t *NetTransport) barrierWatchdog(pb *pendingBarrier) {
 	defer t.wg.Done()
+	tm := t.clk.NewTimer(t.cfg.BarrierTimeout)
+	defer tm.Stop()
 	select {
 	case <-pb.done:
 	case <-t.closeCh:
@@ -329,7 +331,7 @@ func (t *NetTransport) barrierWatchdog(pb *pendingBarrier) {
 			//lint:ignore chanowner the claim table hands each barrier to exactly one closer; a successful claim owns p
 			close(p.done)
 		}
-	case <-t.clk.After(t.cfg.BarrierTimeout):
+	case <-tm.C():
 		if p := t.claimBarrier(pb.id); p != nil {
 			t.deliverBarrierLocal(p)
 		}
@@ -414,10 +416,12 @@ func (t *NetTransport) FlushHeld(to string) {
 	case <-t.closeCh:
 		return
 	}
+	tm := t.clk.NewTimer(t.cfg.BarrierTimeout)
+	defer tm.Stop()
 	select {
 	case <-done:
 	case <-t.closeCh:
-	case <-t.clk.After(t.cfg.BarrierTimeout):
+	case <-tm.C():
 		// The link died under the marker; whatever is still queued is a
 		// counted loss, like any other disconnect.
 		mgr.drainQueue()

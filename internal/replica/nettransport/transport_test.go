@@ -1,11 +1,15 @@
 package nettransport
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
+	"mlq/internal/core"
 	"mlq/internal/faults"
 	"mlq/internal/geom"
+	"mlq/internal/geom/geomtest"
+	"mlq/internal/quadtree"
 	"mlq/internal/replica"
 )
 
@@ -252,5 +256,112 @@ func TestChaosTruncDamagesFramesWithoutDesync(t *testing.T) {
 	<-done
 	if delivered < 1 {
 		t.Fatal("no records survived the chaos stream")
+	}
+}
+
+// TestBarrierTimersReleasedOnCompletion runs barriers and flushes over a
+// live link on a FakeClock. Each one arms a BarrierTimeout timer (the
+// watchdog's, FlushHeld's) that it no longer needs once it completes:
+// afterwards only the writer's heartbeat timer may still be pending.
+func TestBarrierTimersReleasedOnCompletion(t *testing.T) {
+	clk := NewFakeClock()
+	// A heartbeat period of an hour keeps the ack reader's real-time read
+	// deadline from tearing the link down while fake time stands still.
+	tr := New(Config{Seed: 7, Clock: clk, HeartbeatEvery: time.Hour})
+	defer tr.Close()
+	tr.Register("a", 64)
+	inbox := tr.Register("b", 64)
+	go func() {
+		for m := range inbox {
+			if ch, ok := m.BarrierChan(); ok {
+				close(ch)
+			}
+		}
+	}()
+	const n = 50
+	for i := uint64(1); i <= n; i++ {
+		if err := tr.Send("b", rec(i)); err != nil {
+			t.Fatalf("Send: %v", err)
+		}
+		tr.FlushHeld("b")
+		done, err := tr.Barrier("b")
+		if err != nil {
+			t.Fatalf("Barrier: %v", err)
+		}
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("barrier %d never completed", i)
+		}
+	}
+	if !tr.LinkUp("b") {
+		t.Fatal("the barriers did not ride a live link")
+	}
+	waitFor(t, "completed barriers to release their timers", 5*time.Second, func() bool {
+		return clk.Pending() == 1
+	})
+}
+
+// TestTornCoalescedChunkConvergesThroughCatchUp damages one socket read of
+// a replicated burst. The writer coalesces queued frames and the reader
+// reads through a buffer, so the read is a multi-frame chunk, and the
+// flipped byte costs the follower the frame it lands in — or, when it hits
+// a length prefix, the rest of the connection's stream. The follower must
+// still converge, byte for byte, with the journal catch-up restoring what
+// the chunk lost. (A flip can land in an epoch watermark frame instead of
+// a record, about one run in a hundred; then nothing needs restoring, so
+// the catch-up count is logged rather than asserted.)
+func TestTornCoalescedChunkConvergesThroughCatchUp(t *testing.T) {
+	inj := faults.New(5)
+	// Only the follower's stream connection reads through the chaos
+	// plane, and heartbeats are off, so hit 20 is a read inside the burst:
+	// ~200 KiB of frames take more than 50 reads of 4 KiB.
+	inj.Enable(faults.NetTrunc, faults.SiteConfig{Schedule: []int64{20}})
+	tr := New(Config{Seed: 5, Injector: inj, HeartbeatEvery: time.Hour,
+		BackoffBase: time.Millisecond, BackoffCap: 10 * time.Millisecond})
+	newModel := func() (*core.MLQ, error) {
+		return core.NewMLQ(quadtree.Config{
+			Region:      geomtest.MustRect(geom.Point{0, 0}, geom.Point{1, 1}),
+			MemoryLimit: 64 * quadtree.DefaultNodeBytes,
+		})
+	}
+	g, err := replica.New(replica.Config{Replicas: 2, Dir: t.TempDir(), NewModel: newModel, Transport: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	h := g.Handle()
+	const n = 3000
+	for i := 0; i < n; i++ {
+		p := geom.Point{float64(i%17) / 17, float64(i%23) / 23}
+		if err := h.Observe(p, float64(i%31)+0.5); err != nil {
+			t.Fatalf("observe %d: %v", i, err)
+		}
+	}
+	if err := g.Converge(); err != nil {
+		t.Fatalf("converge: %v", err)
+	}
+	if fired := inj.Stats(faults.NetTrunc).Fired; fired != 1 {
+		t.Fatalf("truncation fired %d times, want exactly 1", fired)
+	}
+	r0, err := g.ModelBytes("r0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1, err := g.ModelBytes("r1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(r0, r1) {
+		t.Fatal("follower diverged from the primary after the damaged chunk")
+	}
+	for _, rs := range g.Stats().Replicas {
+		if rs.ID != "r1" {
+			continue
+		}
+		if rs.Applied != n {
+			t.Fatalf("r1 applied %d of %d records", rs.Applied, n)
+		}
+		t.Logf("r1 restored %d records through catch-up", rs.Catchup)
 	}
 }

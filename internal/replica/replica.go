@@ -123,6 +123,9 @@ type node struct {
 	applied uint64          // highest contiguous sequence folded into mlq
 	epoch   uint64          // this replica's own publish count
 	pending map[uint64]Record
+	// unpublished counts the records folded into mlq since the current
+	// view was published (group-apply, see pump).
+	unpublished int
 
 	// Epoch-lag bookkeeping (follower side of OnPublish watermarks).
 	primEpoch uint64
@@ -158,16 +161,44 @@ func (n *node) view() *View { return n.cur.Load() }
 // the group, applying records in sequence order and answering barriers.
 // Catch-up fetches run outside n.mu (they do file IO against the primary's
 // journal), triggered by the gap evidence ingest leaves behind.
+//
+// Records are group-applied: after a blocking receive, the pump takes
+// whatever else is already queued, without blocking, into the same run and
+// publishes one view for the run, rather than a snapshot per record. The
+// run's view is published before a barrier closes (so a barrier still
+// means "everything ahead of me is visible") and before a catch-up starts,
+// and no view covers more than the group's MaxBatch records — the bound
+// the primary's writer already puts on its own publishes.
 func (n *node) pump() {
 	defer close(n.pumpDone)
 	for m := range n.inbox {
-		if m.Kind == kindBarrier {
-			close(m.barrier)
-			continue
+		n.handle(m)
+	run:
+		for {
+			select {
+			case m, ok := <-n.inbox:
+				if !ok {
+					break run
+				}
+				n.handle(m)
+			default:
+				break run
+			}
 		}
-		if n.ingest(m) {
-			n.catchUpOnce()
-		}
+		n.publishPending()
+	}
+}
+
+// handle processes one inbox message of the pump's current run.
+func (n *node) handle(m Msg) {
+	if m.Kind == kindBarrier {
+		n.publishPending()
+		close(m.barrier)
+		return
+	}
+	if n.ingest(m) {
+		n.publishPending()
+		n.catchUpOnce()
 	}
 }
 
@@ -236,10 +267,10 @@ func (n *node) ingestRecordLocked(rec Record) (gapped bool) {
 }
 
 // applyReadyLocked folds the contiguous run starting at applied+1 into the
-// model and publishes a fresh view if anything was applied. Caller holds
-// n.mu and the node is a follower with a live model.
+// model. It publishes a view whenever MaxBatch records await one; the
+// caller publishes the rest (publishPendingLocked) once its run ends.
+// Caller holds n.mu and the node is a follower with a live model.
 func (n *node) applyReadyLocked() {
-	count := 0
 	//lint:ignore boundedretry drain loop, not a retry: every iteration deletes the pending key it read (bounded by len(pending)), and an Observe error advances the cursor instead of retrying the record
 	for {
 		rec, ok := n.pending[n.applied+1]
@@ -257,13 +288,30 @@ func (n *node) applyReadyLocked() {
 			// the follower behind an unfillable gap.
 		}
 		n.applied++
-		count++
+		n.unpublished++
 		n.applRecs.Add(1)
 		n.g.ev.EmitHop(events.SubReplica, events.KindApply, rec.Cause, rec.MintNS, n.idx+1, rec.Seq)
+		if n.unpublished >= n.g.cfg.MaxBatch {
+			n.publishPendingLocked()
+		}
 	}
+}
+
+// publishPending publishes the records applied since the last view, if any.
+func (n *node) publishPending() {
+	n.mu.Lock()
+	n.publishPendingLocked()
+	n.mu.Unlock()
+}
+
+// publishPendingLocked publishes one view covering every record applied
+// since the previous one, if there are any. Caller holds n.mu.
+func (n *node) publishPendingLocked() {
+	count := n.unpublished
 	if count == 0 {
 		return
 	}
+	n.unpublished = 0
 	n.epoch++
 	n.publishViewLocked()
 	// The follower's epoch publish covers the whole applied run (cause 0);
@@ -366,6 +414,7 @@ func (n *node) catchUpOnce() {
 				}
 				n.ingestRecordLocked(rec)
 			}
+			n.publishPendingLocked()
 			n.mu.Unlock()
 			n.catchup.Add(int64(got))
 			if n.g.tel != nil {
@@ -419,6 +468,7 @@ func (n *node) catchUpTo(target uint64, lin *lineage) error {
 			for _, rec := range recs {
 				n.ingestRecordLocked(rec)
 			}
+			n.publishPendingLocked()
 			applied = n.applied
 			n.mu.Unlock()
 			if applied > applied0 {
@@ -450,6 +500,7 @@ func (n *node) resyncFromCheckpoint() error {
 	prev := n.applied
 	n.mlq = model
 	n.applied = seq
+	n.unpublished = 0
 	n.pending = make(map[uint64]Record)
 	n.adoptTermLocked(term)
 	// Whatever the new term decided, watermarks from the pre-resync stream

@@ -148,6 +148,56 @@ func Run(t *testing.T, factory Factory) {
 		}
 	})
 
+	t.Run("BackToBackBurstArrivesInOrderBeforeBarrier", func(t *testing.T) {
+		// Records sent back to back queue faster than the link drains
+		// them, so a socket writer coalesces many into one write; the
+		// barrier sent right behind them (no FlushHeld) must still close
+		// only after every one arrived, in order.
+		tr := factory(t)
+		defer tr.Close()
+		tr.Register("src", 64)
+		inbox := tr.Register("dst", 1024)
+		atBarrier := make(chan []uint64, 1)
+		go func() {
+			var seqs []uint64
+			for m := range inbox {
+				if ch, ok := m.BarrierChan(); ok {
+					//lint:ignore chanowner capacity-1 channel written once per subtest; the test body always receives it
+					atBarrier <- seqs
+					close(ch)
+					continue
+				}
+				if m.Kind == replica.KindRecord {
+					seqs = append(seqs, m.Rec.Seq)
+				}
+			}
+		}()
+		const n = 500
+		for i := uint64(1); i <= n; i++ {
+			if err := tr.Send("dst", rec(i)); err != nil {
+				t.Fatalf("Send(%d): %v", i, err)
+			}
+		}
+		done, err := tr.Barrier("dst")
+		if err != nil {
+			t.Fatalf("Barrier: %v", err)
+		}
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("barrier never closed")
+		}
+		got := <-atBarrier
+		if len(got) != n {
+			t.Fatalf("%d of %d records arrived before the barrier", len(got), n)
+		}
+		for i, s := range got {
+			if s != uint64(i+1) {
+				t.Fatalf("out-of-order delivery: position %d holds seq %d", i, s)
+			}
+		}
+	})
+
 	t.Run("PartitionBlocksHealRestores", func(t *testing.T) {
 		tr := factory(t)
 		defer tr.Close()
