@@ -169,14 +169,14 @@ func BenchmarkAblateGamma(b *testing.B) {
 
 // --- Micro-benchmarks: the operations behind APC and AUC (Fig. 10). ---
 
-func newBenchTree(b *testing.B, strat quadtree.Strategy, memNodes int) *quadtree.Tree {
+func newBenchTree(tb testing.TB, strat quadtree.Strategy, memNodes int) *quadtree.Tree {
 	t, err := quadtree.New(quadtree.Config{
 		Region:      geomtest.MustRect(geom.Point{0, 0, 0, 0}, geom.Point{1000, 1000, 1000, 1000}),
 		Strategy:    strat,
 		MemoryLimit: memNodes * quadtree.DefaultNodeBytes,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return t
 }
@@ -317,20 +317,19 @@ func BenchmarkPredictParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictTelemetry pins the observability contract: Predict carries
-// no instrumentation at all (the engine counts predictions instead), so an
-// instrumented tree predicts at the same speed as a bare one.
+// BenchmarkPredictTelemetry measures the observability contract that
+// TestInstrumentationAllocs pins: Predict carries no instrumentation at all
+// (the engine counts predictions instead), so an instrumented tree predicts
+// at the same speed as a bare one.
 func BenchmarkPredictTelemetry(b *testing.B) {
 	pts := randPoints(4096, 8)
 	for _, mode := range []string{"off", "on"} {
 		b.Run(mode, func(b *testing.B) {
-			t := newBenchTree(b, quadtree.Eager, 92)
+			var reg *telemetry.Registry
 			if mode == "on" {
-				t.Instrument(telemetry.New(), nil, telemetry.L("model", "bench"))
+				reg = telemetry.New()
 			}
-			for i := 0; i < 20000; i++ {
-				t.Insert(pts[i%len(pts)], float64(i%10000))
-			}
+			t := newPredictTree(b, pts, reg)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				t.PredictBeta(pts[i%len(pts)], 1)
@@ -339,35 +338,20 @@ func BenchmarkPredictTelemetry(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictEvents pins the event-spine hot-path contract: Predict
-// emits no events and takes no recorder branch, so a publisher with the
-// causal spine and flight recorder installed predicts at the same speed as
-// one without. Emission happens only on the Observe/apply/publish paths,
-// where one pointer check gates it.
+// BenchmarkPredictEvents measures the event-spine hot-path contract that
+// TestInstrumentationAllocs pins: Predict emits no events and takes no
+// recorder branch, so a publisher with the causal spine and flight recorder
+// installed predicts at the same speed as one without. Emission happens only
+// on the Observe/apply/publish paths, where one pointer check gates it.
 func BenchmarkPredictEvents(b *testing.B) {
 	pts := randPoints(4096, 8)
 	for _, mode := range []string{"off", "on"} {
 		b.Run(mode, func(b *testing.B) {
-			m, err := core.NewMLQ(quadtree.Config{
-				Region:      geomtest.MustRect(geom.Point{0, 0, 0, 0}, geom.Point{1000, 1000, 1000, 1000}),
-				MemoryLimit: 92 * quadtree.DefaultNodeBytes,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < 20000; i++ {
-				if err := m.Observe(pts[i%len(pts)], float64(i%10000)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			cfg := core.PublisherConfig{}
+			var rec *events.Recorder
 			if mode == "on" {
-				cfg.Events = events.New(events.Config{Seed: 1})
+				rec = events.New(events.Config{Seed: 1})
 			}
-			pub, err := core.NewPublisher(m, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
+			pub := newPredictPublisher(b, pts, rec)
 			defer pub.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -375,6 +359,77 @@ func BenchmarkPredictEvents(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestInstrumentationAllocs pins the hot-path contract: instrumentation adds
+// no allocation to a prediction. A registry-instrumented tree's PredictBeta
+// allocates exactly as much as a bare tree's, and a Publisher's Predict with
+// an events.Recorder installed exactly as much as one without. The pins
+// compare against bare rather than a constant, so they hold whatever the
+// bare path itself allocates.
+func TestInstrumentationAllocs(t *testing.T) {
+	pts := randPoints(4096, 8)
+	treeAllocs := func(reg *telemetry.Registry) float64 {
+		tr := newPredictTree(t, pts, reg)
+		i := 0
+		return testing.AllocsPerRun(1000, func() {
+			tr.PredictBeta(pts[i%len(pts)], 1)
+			i++
+		})
+	}
+	if bare, on := treeAllocs(nil), treeAllocs(telemetry.New()); on != bare {
+		t.Errorf("instrumented tree PredictBeta allocates %v/op, bare tree %v/op", on, bare)
+	}
+
+	pubAllocs := func(rec *events.Recorder) float64 {
+		pub := newPredictPublisher(t, pts, rec)
+		defer pub.Close()
+		i := 0
+		return testing.AllocsPerRun(1000, func() {
+			pub.Predict(pts[i%len(pts)])
+			i++
+		})
+	}
+	if bare, on := pubAllocs(nil), pubAllocs(events.New(events.Config{Seed: 1})); on != bare {
+		t.Errorf("Publisher.Predict with a recorder allocates %v/op, without %v/op", on, bare)
+	}
+}
+
+// newPredictTree is the prediction benchmarks' 92-node eager tree after
+// 20,000 inserts, instrumented into reg when reg is non-nil.
+func newPredictTree(tb testing.TB, pts []geom.Point, reg *telemetry.Registry) *quadtree.Tree {
+	t := newBenchTree(tb, quadtree.Eager, 92)
+	if reg != nil {
+		t.Instrument(reg, telemetry.L("model", "bench"))
+	}
+	for i := 0; i < 20000; i++ {
+		if err := t.Insert(pts[i%len(pts)], float64(i%10000)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return t
+}
+
+// newPredictPublisher is the prediction benchmarks' publisher over a trained
+// 92-node MLQ, with the event spine installed when rec is non-nil.
+func newPredictPublisher(tb testing.TB, pts []geom.Point, rec *events.Recorder) *core.Publisher {
+	m, err := core.NewMLQ(quadtree.Config{
+		Region:      geomtest.MustRect(geom.Point{0, 0, 0, 0}, geom.Point{1000, 1000, 1000, 1000}),
+		MemoryLimit: 92 * quadtree.DefaultNodeBytes,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < 20000; i++ {
+		if err := m.Observe(pts[i%len(pts)], float64(i%10000)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	pub, err := core.NewPublisher(m, core.PublisherConfig{Events: rec})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pub
 }
 
 // BenchmarkCompress measures one full compression pass over a large tree.

@@ -41,11 +41,10 @@ func main() {
 	mem := flag.Int("mem", 0, "override the model memory limit in bytes (0 = paper's 1.8 KB)")
 	trials := flag.Int("trials", 1, "replicate accuracy cells across N seeds (fig8 reports mean±std)")
 	telemetryAddr := flag.String("telemetry", "", "serve live metrics on this address while experiments run (e.g. localhost:9090, :0 for a free port; empty disables)")
-	traceOut := flag.String("trace-out", "", "write feedback-loop trace spans as JSONL to this file (empty disables)")
 	eventsDir := flag.String("events-dir", "", "record the causal event spine: flight-recorder dumps land in this directory and a final events.mlqbb export is written on exit (empty disables)")
 	flag.Parse()
 
-	reg, tr, cleanup, err := setupTelemetry(*telemetryAddr, *traceOut)
+	reg, cleanup, err := setupTelemetry(*telemetryAddr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mlqbench:", err)
 		os.Exit(1)
@@ -58,7 +57,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	if err := run(os.Stdout, *exp, *seed, *quick, *queries, *mem, *trials, reg, tr, rec); err != nil {
+	if err := run(os.Stdout, *exp, *seed, *quick, *queries, *mem, *trials, reg, rec); err != nil {
 		fmt.Fprintln(os.Stderr, "mlqbench:", err)
 		os.Exit(1)
 	}
@@ -112,46 +111,29 @@ func exportEvents(dir string, rec *events.Recorder) error {
 	return nil
 }
 
-// setupTelemetry starts the exposition server and trace sink per the CLI
-// flags. All returns are nil/no-op when both flags are empty.
-func setupTelemetry(addr, traceOut string) (*telemetry.Registry, *telemetry.Tracer, func(), error) {
-	cleanup := func() {}
-	var reg *telemetry.Registry
-	var sink io.Writer
-	if addr != "" {
-		reg = telemetry.New()
-		srv, err := telemetry.Serve(addr, reg)
-		if err != nil {
-			return nil, nil, cleanup, err
-		}
-		fmt.Fprintf(os.Stderr, "telemetry: serving %s\n", srv.URL())
-		cleanup = func() { srv.Close() }
+// setupTelemetry starts the exposition server per the -telemetry flag. The
+// registry is nil and cleanup a no-op when the flag is empty.
+func setupTelemetry(addr string) (*telemetry.Registry, func(), error) {
+	if addr == "" {
+		return nil, func() {}, nil
 	}
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			cleanup()
-			return nil, nil, func() {}, fmt.Errorf("opening trace sink: %w", err)
-		}
-		sink = f
-		prev := cleanup
-		cleanup = func() { prev(); f.Close() }
+	reg := telemetry.New()
+	srv, err := telemetry.Serve(addr, reg)
+	if err != nil {
+		return nil, func() {}, err
 	}
-	var tr *telemetry.Tracer
-	if reg != nil || sink != nil {
-		tr = telemetry.NewTracer(reg, nil, sink)
-	}
-	return reg, tr, cleanup, nil
+	fmt.Fprintf(os.Stderr, "telemetry: serving %s\n", srv.URL())
+	return reg, func() { srv.Close() }, nil
 }
 
-func run(w io.Writer, exp string, seed int64, quick bool, queries, mem, trials int, reg *telemetry.Registry, tr *telemetry.Tracer, rec *events.Recorder) error {
+func run(w io.Writer, exp string, seed int64, quick bool, queries, mem, trials int, reg *telemetry.Registry, rec *events.Recorder) error {
 	selected, err := selectExperiments(exp)
 	if err != nil {
 		return err
 	}
 	in := harness.Inputs{
-		Synth: harness.Options{Seed: seed, Queries: 5000, MemoryLimit: mem, Trials: trials, Telemetry: reg, Tracer: tr, Events: rec},
-		Real:  harness.Options{Seed: seed, Queries: 2500, MemoryLimit: mem, Telemetry: reg, Tracer: tr, Events: rec},
+		Synth: harness.Options{Seed: seed, Queries: 5000, MemoryLimit: mem, Trials: trials, Telemetry: reg, Events: rec},
+		Real:  harness.Options{Seed: seed, Queries: 2500, MemoryLimit: mem, Telemetry: reg, Events: rec},
 	}
 	if quick {
 		in.Synth.Queries, in.Real.Queries = 600, 400

@@ -65,7 +65,7 @@ func TestRunRealExperimentsSmall(t *testing.T) {
 func runAndCheck(t *testing.T, name string) {
 	t.Helper()
 	var out bytes.Buffer
-	if err := run(&out, name, 1, true, 60, 0, 1, nil, nil, nil); err != nil {
+	if err := run(&out, name, 1, true, 60, 0, 1, nil, nil); err != nil {
 		t.Fatalf("run(%q): %v", name, err)
 	}
 	if !strings.Contains(out.String(), "["+name+" completed in ") {
@@ -84,7 +84,7 @@ func TestGoldenOutput(t *testing.T) {
 	for _, name := range goldenExperiments {
 		t.Run(name, func(t *testing.T) {
 			var out bytes.Buffer
-			if err := run(&out, name, 1, true, 120, 0, 1, nil, nil, nil); err != nil {
+			if err := run(&out, name, 1, true, 120, 0, 1, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 			got := completedLine.ReplaceAllString(out.String(), "")
@@ -100,7 +100,7 @@ func TestGoldenOutput(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	err := run(io.Discard, "nonsense", 1, true, 50, 0, 1, nil, nil, nil)
+	err := run(io.Discard, "nonsense", 1, true, 50, 0, 1, nil, nil)
 	if err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
@@ -115,14 +115,14 @@ func TestRunUnknownExperiment(t *testing.T) {
 }
 
 func TestRunMemoryOverride(t *testing.T) {
-	if err := run(io.Discard, "fig8", 2, true, 100, 4096, 2, nil, nil, nil); err != nil {
+	if err := run(io.Discard, "fig8", 2, true, 100, 4096, 2, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // chaosSeries are the exposition families the chaos run must surface, one
 // per instrumented layer: quadtree shape, engine feedback loop, buffer
-// cache, and the rolling model-accuracy tracker.
+// cache, the rolling model-accuracy tracker, and the stage spans.
 var chaosSeries = []string{
 	"mlq_quadtree_memory_utilization{",
 	"mlq_quadtree_compressions_total{",
@@ -131,6 +131,7 @@ var chaosSeries = []string{
 	"mlq_engine_breaker_open{",
 	"mlq_buffercache_hit_ratio{",
 	"mlq_model_nae{",
+	`mlq_trace_span_seconds_count{span="save"}`,
 }
 
 // TestTelemetryScrapeMidRun runs the chaos experiment with a live exposition
@@ -146,10 +147,9 @@ func TestTelemetryScrapeMidRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	tr := telemetry.NewTracer(reg, nil, nil)
 
 	done := make(chan error, 1)
-	go func() { done <- run(io.Discard, "chaos", 1, true, 60, 0, 1, reg, tr, nil) }()
+	go func() { done <- run(io.Discard, "chaos", 1, true, 60, 0, 1, reg, nil) }()
 
 	scrape := func() string {
 		t.Helper()

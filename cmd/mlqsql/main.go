@@ -223,9 +223,9 @@ func buildDB(rows int, seed int64, reg *telemetry.Registry) (*minisql.DB, error)
 		}
 		f.SelModel = sel
 		if reg != nil {
-			f.Model.(*core.MLQ).Tree().Instrument(reg, nil,
+			f.Model.(*core.MLQ).Tree().Instrument(reg,
 				telemetry.L("udf", f.Name), telemetry.L("model", "cost"))
-			sel.(*core.MLQ).Tree().Instrument(reg, nil,
+			sel.(*core.MLQ).Tree().Instrument(reg,
 				telemetry.L("udf", f.Name), telemetry.L("model", "sel"))
 		}
 		if err := db.AddFunc(f); err != nil {

@@ -12,7 +12,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 
@@ -30,11 +29,9 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	mem := flag.Int("mem", 1843, "cost-model memory limit in bytes")
 	telemetryAddr := flag.String("telemetry", "", "serve live metrics on this address while the queries run (e.g. localhost:9090; empty disables)")
-	traceOut := flag.String("trace-out", "", "write feedback-loop trace spans as JSONL to this file (empty disables)")
 	flag.Parse()
 
 	var reg *telemetry.Registry
-	var sink io.Writer
 	if *telemetryAddr != "" {
 		reg = telemetry.New()
 		srv, err := telemetry.Serve(*telemetryAddr, reg)
@@ -45,27 +42,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "telemetry: serving %s\n", srv.URL())
 		defer srv.Close()
 	}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "udfsim:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		sink = f
-	}
-	var tr *telemetry.Tracer
-	if reg != nil || sink != nil {
-		tr = telemetry.NewTracer(reg, nil, sink)
-	}
 
-	if err := run(*rows, *seed, *mem, reg, tr); err != nil {
+	if err := run(*rows, *seed, *mem, reg); err != nil {
 		fmt.Fprintln(os.Stderr, "udfsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(rows int, seed int64, mem int, reg *telemetry.Registry, tr *telemetry.Tracer) error {
+func run(rows int, seed int64, mem int, reg *telemetry.Registry) error {
 	fmt.Println("building substrates (text corpus + spatial map)...")
 	tdb, err := textdb.Generate(textdb.Config{Seed: seed})
 	if err != nil {
@@ -155,7 +139,7 @@ func run(rows int, seed int64, mem int, reg *telemetry.Registry, tr *telemetry.T
 	if err != nil {
 		return err
 	}
-	naive, err := engine.ExecuteQueryTraced(table, naivePreds, engine.OrderAsGiven, tr)
+	naive, err := engine.ExecuteQuery(table, naivePreds, engine.OrderAsGiven)
 	if err != nil {
 		return err
 	}
@@ -170,14 +154,14 @@ func run(rows int, seed int64, mem int, reg *telemetry.Registry, tr *telemetry.T
 	for _, p := range tunedPreds {
 		p.Instrument(reg)
 		if mlq, ok := p.Model.(*core.MLQ); ok {
-			mlq.Tree().Instrument(reg, tr, telemetry.L("udf", p.Name))
+			mlq.Tree().Instrument(reg, telemetry.L("udf", p.Name))
 		}
 	}
 	if reg != nil {
 		tdb.Cache().Instrument(reg, telemetry.L("db", "text"))
 		sdb.Cache().Instrument(reg, telemetry.L("db", "spatial"))
 	}
-	tuned, err := engine.ExecuteQueryTraced(table, tunedPreds, engine.OrderByRank, tr)
+	tuned, err := engine.ExecuteQuery(table, tunedPreds, engine.OrderByRank)
 	if err != nil {
 		return err
 	}

@@ -3,7 +3,7 @@ package main
 import "testing"
 
 func TestRunSmall(t *testing.T) {
-	if err := run(300, 1, 1843, nil, nil); err != nil {
+	if err := run(300, 1, 1843, nil); err != nil {
 		t.Fatal(err)
 	}
 }

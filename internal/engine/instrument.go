@@ -119,13 +119,3 @@ func (tel *predTelemetry) publish(p *Predicate) {
 	tel.cost.Publish(p.costGuard.Stats())
 	tel.sel.Publish(p.selGuard.Stats())
 }
-
-// ExecuteQueryTraced is ExecuteQuery wrapped in a "query" span. The tracer's
-// clock is injected (telemetry.Clock), so this package still never reads the
-// wall clock itself; a nil tracer makes this exactly ExecuteQuery.
-func ExecuteQueryTraced(table *Table, preds []*Predicate, policy OrderPolicy, tr *telemetry.Tracer) (Result, error) {
-	sp := tr.Start("query", telemetry.L("policy", policy.String()))
-	res, err := ExecuteQuery(table, preds, policy)
-	sp.End()
-	return res, err
-}

@@ -120,30 +120,3 @@ func TestInstrumentDetach(t *testing.T) {
 		t.Errorf("detached predicate still publishing: %d", got)
 	}
 }
-
-// TestExecuteQueryTraced checks the query span is recorded and that a nil
-// tracer degrades to plain ExecuteQuery.
-func TestExecuteQueryTraced(t *testing.T) {
-	tb := randomTable(14, 50)
-	p := costlyPred(t, "p1", 0, 1, 50, 1)
-	reg := telemetry.New()
-	var clk telemetry.FakeClock
-	tr := telemetry.NewTracer(reg, &clk, nil)
-
-	res, err := ExecuteQueryTraced(tb, []*Predicate{p}, OrderByRank, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Evaluations["p1"] != int64(len(tb.Rows)) {
-		t.Errorf("traced query evaluations = %d", res.Evaluations["p1"])
-	}
-	h := reg.Histogram("mlq_trace_span_seconds", "", telemetry.L("span", "query"), telemetry.L("policy", "rank"))
-	if h.Count() != 1 {
-		t.Errorf("query span count = %d, want 1", h.Count())
-	}
-
-	p2 := costlyPred(t, "p2", 0, 1, 50, 1)
-	if _, err := ExecuteQueryTraced(tb, []*Predicate{p2}, OrderAsGiven, nil); err != nil {
-		t.Fatalf("nil tracer: %v", err)
-	}
-}

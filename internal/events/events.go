@@ -26,6 +26,7 @@ package events
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -495,19 +496,9 @@ func (r *Recorder) Snapshot() []Event {
 	for _, rg := range r.rings {
 		out = append(out, rg.snapshot()...)
 	}
-	sortEvents(out)
+	// LC is total and unique by construction, so the order is deterministic.
+	sort.Slice(out, func(i, j int) bool { return out[i].LC < out[j].LC })
 	return out
-}
-
-// sortEvents orders by logical clock (total and unique by construction).
-func sortEvents(evts []Event) {
-	// Insertion-friendly shapes dominate (per-ring snapshots are nearly
-	// sorted already), but correctness matters more than cleverness here.
-	for i := 1; i < len(evts); i++ {
-		for j := i; j > 0 && evts[j].LC < evts[j-1].LC; j-- {
-			evts[j], evts[j-1] = evts[j-1], evts[j]
-		}
-	}
 }
 
 // DumpErrors returns how many automatic dumps failed to write (counted,

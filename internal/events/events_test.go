@@ -2,6 +2,7 @@ package events
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -89,6 +90,37 @@ func TestEmitAndSnapshotOrdering(t *testing.T) {
 	}
 	if evts[2].TS-evts[0].TS != int64(2*time.Millisecond) {
 		t.Fatalf("timestamps span %dns, want 2ms", evts[2].TS-evts[0].TS)
+	}
+
+	// Many events interleaved across every subsystem, enough to wrap each
+	// ring more than once: the merged snapshot holds exactly each ring's
+	// newest ringSize events, in strictly increasing LC.
+	const ringSize = 256
+	r = New(Config{Clock: clk, RingSize: ringSize})
+	rng := rand.New(rand.NewSource(5))
+	var emitted [NumSubsystems][]uint64
+	for a := uint64(1); a <= 3*ringSize*uint64(NumSubsystems); a++ {
+		sub := Subsystem(rng.Intn(int(NumSubsystems)))
+		r.Emit(sub, KindObserve, 7, a, 0)
+		emitted[sub] = append(emitted[sub], a)
+	}
+	want := map[uint64]bool{}
+	for _, as := range emitted {
+		for _, a := range as[max(len(as)-ringSize, 0):] {
+			want[a] = true
+		}
+	}
+	evts = r.Snapshot()
+	if len(evts) != len(want) {
+		t.Fatalf("interleaved snapshot has %d events, want %d", len(evts), len(want))
+	}
+	for i, e := range evts {
+		if !want[e.A] {
+			t.Fatalf("event %d (A=%d) is not among its ring's newest %d", i, e.A, ringSize)
+		}
+		if i > 0 && e.LC <= evts[i-1].LC {
+			t.Fatalf("interleaved logical clock not increasing at %d: %d then %d", i, evts[i-1].LC, e.LC)
+		}
 	}
 }
 

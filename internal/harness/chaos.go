@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"time"
 
 	"mlq/internal/catalog"
 	"mlq/internal/core"
@@ -97,23 +98,46 @@ type chaosState struct {
 	preds   *telemetry.Counter
 	gm      *engine.GuardMetrics
 	tracker *telemetry.ErrorTracker
+	// Stage span histograms. save is per cell, not per UDF, so it carries no
+	// label and every state holds the same series.
+	predictSpan, executeSpan, observeSpan, saveSpan *telemetry.Histogram
 }
 
-// instrument attaches the state's current model tree and feedback counters to
-// the options' registry/tracer. Called once per cell and again after a
+// instrument attaches the state's current model tree, feedback counters and
+// stage spans to the options' registry. Called once per cell and again after a
 // catalog reload swaps in an adopted tree — the registry hands back the same
 // series for the same labels, so the metrics continue seamlessly.
 func (s *chaosState) instrument(opts Options) {
-	if opts.Telemetry == nil && opts.Tracer == nil {
+	if opts.Telemetry == nil {
 		return
 	}
 	s.label = telemetry.L("udf", s.u.Name())
-	s.mlq.Tree().Instrument(opts.Telemetry, opts.Tracer, s.label)
+	s.mlq.Tree().Instrument(opts.Telemetry, s.label)
 	s.preds = opts.Telemetry.Counter("mlq_engine_predictions_total",
 		"model Predict calls made while planning", s.label)
 	s.gm = engine.NewGuardMetrics(opts.Telemetry, s.label)
 	if s.tracker == nil {
 		s.tracker = telemetry.NewErrorTracker(opts.Telemetry, s.label)
+	}
+	s.predictSpan = opts.Telemetry.Span("predict", s.label)
+	s.executeSpan = opts.Telemetry.Span("execute", s.label)
+	s.observeSpan = opts.Telemetry.Span("observe", s.label)
+	s.saveSpan = opts.Telemetry.Span("save")
+}
+
+// stageStart starts timing a stage into span h. With telemetry disabled (h
+// nil) it reads no clock.
+func stageStart(h *telemetry.Histogram) time.Time {
+	if h == nil {
+		return time.Time{}
+	}
+	return telemetry.Wall.Now()
+}
+
+// stageEnd records the stage begun at start into h; a no-op when h is nil.
+func stageEnd(h *telemetry.Histogram, start time.Time) {
+	if h != nil {
+		h.Observe(telemetry.Wall.Now().Sub(start).Seconds())
 	}
 }
 
@@ -262,18 +286,18 @@ func runChaosCell(inj *faults.Injector, rate float64, udfs []udf.UDF, stores []*
 	for q := 0; q < opts.Queries; q++ {
 		for _, s := range states {
 			p := s.src.Next()
-			sp := opts.Tracer.Start("predict", s.label)
+			start := stageStart(s.predictSpan)
 			pred, ok := s.fb.Predict(p)
-			sp.End()
+			stageEnd(s.predictSpan, start)
 			s.preds.Inc()
 			if !ok || !core.ValidCost(pred) {
 				return cell, fmt.Errorf("model %s answered invalid prediction (%v, %v) — degradation chain broken",
 					s.fb.Name(), pred, ok)
 			}
 			cell.Executions++
-			sp = opts.Tracer.Start("execute", s.label)
+			start = stageStart(s.executeSpan)
 			actual, failed := chaosExecute(s.u, p, inj)
-			sp.End()
+			stageEnd(s.executeSpan, start)
 			if failed {
 				// The execution produced no cost: no sample, no feedback,
 				// and — the entire point — no crash.
@@ -287,9 +311,9 @@ func runChaosCell(inj *faults.Injector, rate float64, udfs []udf.UDF, stores []*
 			if corrupted {
 				cell.Corrupted++
 			}
-			sp = opts.Tracer.Start("observe", s.label)
+			start = stageStart(s.observeSpan)
 			fed := s.guard.Feed(s.fb, p, obs)
-			sp.End()
+			stageEnd(s.observeSpan, start)
 			switch fed {
 			case engine.FedQuarantined:
 				cell.Quarantined++
@@ -301,9 +325,10 @@ func runChaosCell(inj *faults.Injector, rate float64, udfs []udf.UDF, stores []*
 			s.gm.Publish(s.guard.Stats())
 		}
 		if (q+1)%saveEvery == 0 {
-			sp := opts.Tracer.Start("save")
+			save := states[0].saveSpan
+			start := stageStart(save)
 			err := chaosSaveLoad(path, states, inj, &cell, opts)
-			sp.End()
+			stageEnd(save, start)
 			if err != nil {
 				return cell, err
 			}

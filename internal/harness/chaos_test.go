@@ -1,9 +1,11 @@
 package harness
 
 import (
+	"reflect"
 	"testing"
 
 	"mlq/internal/core"
+	"mlq/internal/telemetry"
 )
 
 // TestChaosSmall runs the whole default chaos sweep on a tiny workload. The
@@ -51,5 +53,46 @@ func TestChaosSmall(t *testing.T) {
 	}
 	if noisy.Executions != clean.Executions {
 		t.Errorf("execution counts diverged: %d vs %d", noisy.Executions, clean.Executions)
+	}
+}
+
+// TestChaosTelemetryTransparent checks DESIGN §8's claim that telemetry never
+// changes a result: the chaos sweep with a registry attached returns cells
+// identical to a run without one, and the run fed every feedback-loop stage
+// span.
+func TestChaosTelemetryTransparent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the full substrates")
+	}
+	bare, err := Chaos(Options{Seed: 1, Queries: 150})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.New()
+	instrumented, err := Chaos(Options{Seed: 1, Queries: 150, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(bare, instrumented) {
+		t.Errorf("telemetry changed the chaos cells:\nbare:         %+v\ninstrumented: %+v", bare, instrumented)
+	}
+
+	spanCount := func(span string, labelled bool) int64 {
+		if !labelled {
+			return reg.Span(span).Count()
+		}
+		var n int64
+		for _, h := range bare[0].Health {
+			n += reg.Span(span, telemetry.L("udf", h.UDF)).Count()
+		}
+		return n
+	}
+	for _, span := range []string{"compress", "predict", "execute", "observe"} {
+		if spanCount(span, true) == 0 {
+			t.Errorf("no %q spans recorded", span)
+		}
+	}
+	if spanCount("save", false) == 0 {
+		t.Error("no \"save\" spans recorded")
 	}
 }

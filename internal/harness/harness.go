@@ -88,9 +88,6 @@ type Options struct {
 	// internal/telemetry). Nil disables all instrumentation; the
 	// experiments' results are identical either way.
 	Telemetry *telemetry.Registry
-	// Tracer, when set, records the feedback-loop stages (predict, execute,
-	// observe, compress, save) as spans. Nil disables tracing.
-	Tracer *telemetry.Tracer
 	// Events, when set, is the causal event spine + flight recorder the
 	// experiments thread through their publishers and replica groups. Nil
 	// disables recording; the experiments' results are identical either way.
@@ -182,15 +179,15 @@ func NewModel(m Method, region geom.Rect, opts Options, training []histogram.Sam
 }
 
 // instrumentModel attaches the model's quadtree (when it has one) to the
-// options' telemetry registry and tracer under the given labels, and returns
+// options' telemetry registry under the given labels, and returns
 // an ErrorTracker for its rolling NAE. With telemetry disabled everything is
 // nil and the returned tracker is an inert nil.
 func (o Options) instrumentModel(model core.Model, labels ...telemetry.Label) *telemetry.ErrorTracker {
-	if o.Telemetry == nil && o.Tracer == nil {
+	if o.Telemetry == nil {
 		return nil
 	}
 	if mlq, ok := model.(*core.MLQ); ok {
-		mlq.Tree().Instrument(o.Telemetry, o.Tracer, labels...)
+		mlq.Tree().Instrument(o.Telemetry, labels...)
 	}
 	return telemetry.NewErrorTracker(o.Telemetry, labels...)
 }

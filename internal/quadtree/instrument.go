@@ -25,21 +25,20 @@ type treeTelemetry struct {
 	removed      *telemetry.Counter
 	resizes      *telemetry.Counter
 
-	tracer *telemetry.Tracer
-	labels []telemetry.Label
+	compressSpan *telemetry.Histogram
 }
 
 // Instrument registers the tree's metrics under mlq_quadtree_* with the
 // given labels (typically model="WIN") and begins publishing them on every
-// insert and compression. A non-nil tracer additionally records each
-// compression pass as a "compress" span. Passing a nil registry and nil
-// tracer detaches the tree from telemetry again.
+// insert and compression. Each compression pass's duration also lands in
+// mlq_trace_span_seconds{span="compress"} under the same labels. Passing a
+// nil registry detaches the tree from telemetry again.
 //
 // Predictions are deliberately uninstrumented: the Predict hot path carries
 // no telemetry cost at all (the engine layer counts predictions per
 // predicate instead).
-func (t *Tree) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer, labels ...telemetry.Label) {
-	if reg == nil && tr == nil {
+func (t *Tree) Instrument(reg *telemetry.Registry, labels ...telemetry.Label) {
+	if reg == nil {
 		t.tel = nil
 		return
 	}
@@ -58,8 +57,7 @@ func (t *Tree) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer, labels 
 		removed:      reg.Counter("mlq_quadtree_removed_nodes_total", "nodes discarded by compression", labels...),
 		resizes:      reg.Counter("mlq_quadtree_resizes_total", "live-limit changes applied by Resize", labels...),
 
-		tracer: tr,
-		labels: labels,
+		compressSpan: reg.Span("compress", labels...),
 	}
 	t.tel = tel
 	tel.publish(t)
@@ -85,8 +83,8 @@ func (tel *treeTelemetry) publish(t *Tree) {
 	tel.resizes.Store(t.resizes)
 }
 
-// compressDone publishes after a compression pass and records it as a span.
+// compressDone publishes after a compression pass and records its duration.
 func (tel *treeTelemetry) compressDone(t *Tree, d time.Duration) {
 	tel.publish(t)
-	tel.tracer.ObserveSpan("compress", d, tel.labels...)
+	tel.compressSpan.Observe(d.Seconds())
 }

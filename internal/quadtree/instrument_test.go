@@ -18,10 +18,8 @@ func TestInstrumentPublishes(t *testing.T) {
 		MemoryLimit: 40 * DefaultNodeBytes,
 	})
 	reg := telemetry.New()
-	var clk telemetry.FakeClock
-	tracer := telemetry.NewTracer(reg, &clk, nil)
 	lbl := telemetry.L("model", "cost")
-	tr.Instrument(reg, tracer, lbl)
+	tr.Instrument(reg, lbl)
 
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 500; i++ {
@@ -66,20 +64,20 @@ func TestInstrumentPublishes(t *testing.T) {
 		t.Errorf("eager %d + deferred %d != inserts %d", eager, deferred, tr.Inserts())
 	}
 
-	// Every compression pass is recorded as a "compress" span.
+	// Every compression pass's duration is recorded as a "compress" span.
 	h := reg.Histogram("mlq_trace_span_seconds", "", telemetry.L("span", "compress"), lbl)
 	if got := h.Count(); got != tr.Compressions() {
 		t.Errorf("compress span count = %d, compressions = %d", got, tr.Compressions())
 	}
 }
 
-// TestInstrumentDetach checks nil/nil stops publishing, and that a detached
+// TestInstrumentDetach checks a nil registry stops publishing, and that a detached
 // clone does not inherit the original's telemetry.
 func TestInstrumentDetach(t *testing.T) {
 	tr := mustTree(t, unitCfg(2))
 	reg := telemetry.New()
 	lbl := telemetry.L("model", "cost")
-	tr.Instrument(reg, nil, lbl)
+	tr.Instrument(reg, lbl)
 
 	if err := tr.Insert(geom.Point{0.5, 0.5}, 1); err != nil {
 		t.Fatal(err)
@@ -97,7 +95,7 @@ func TestInstrumentDetach(t *testing.T) {
 		t.Errorf("clone published into the original's series: %d", c.Value())
 	}
 
-	tr.Instrument(nil, nil)
+	tr.Instrument(nil)
 	if err := tr.Insert(geom.Point{0.75, 0.75}, 3); err != nil {
 		t.Fatal(err)
 	}
@@ -106,14 +104,15 @@ func TestInstrumentDetach(t *testing.T) {
 	}
 }
 
-// TestInstrumentNilTracer checks a registry-only instrumentation survives
-// compression (the span hook must tolerate a nil tracer).
-func TestInstrumentNilTracer(t *testing.T) {
+// TestInstrumentUnlabelled checks an instrumentation with no labels survives
+// compression and records every pass under the bare span label.
+func TestInstrumentUnlabelled(t *testing.T) {
 	tr := mustTree(t, Config{
 		Region:      geom.UnitCube(2),
 		MemoryLimit: 20 * DefaultNodeBytes,
 	})
-	tr.Instrument(telemetry.New(), nil)
+	reg := telemetry.New()
+	tr.Instrument(reg)
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 300; i++ {
 		if err := tr.Insert(geom.Point{rng.Float64(), rng.Float64()}, 1); err != nil {
@@ -121,6 +120,10 @@ func TestInstrumentNilTracer(t *testing.T) {
 		}
 	}
 	if tr.Compressions() == 0 {
-		t.Error("no compression ran")
+		t.Fatal("no compression ran")
+	}
+	h := reg.Histogram("mlq_trace_span_seconds", "", telemetry.L("span", "compress"))
+	if got := h.Count(); got != tr.Compressions() {
+		t.Errorf("compress span count = %d, compressions = %d", got, tr.Compressions())
 	}
 }

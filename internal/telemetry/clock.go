@@ -5,11 +5,12 @@ import (
 	"time"
 )
 
-// Clock abstracts the tracer's time source so traced code stays
-// deterministic under test: the engine, optimizer and quadtree never call
-// time.Now themselves (the detertime analyzer enforces that), and the tracer
-// only reaches the wall clock through this interface. Tests inject a
-// FakeClock and replay identical timelines run after run.
+// Clock abstracts the wall-clock source of the observability layers so they
+// stay deterministic under test: the engine, optimizer and quadtree never
+// call time.Now themselves (the detertime analyzer enforces that), and the
+// event spine and the registry's scrape stamp only reach the wall clock
+// through this interface. Tests inject a FakeClock and replay identical
+// timelines run after run.
 type Clock interface {
 	// Now returns the current time.
 	Now() time.Time

@@ -4,7 +4,6 @@ import (
 	"io"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestConcurrentRegistryHammer drives every registry mutation path from
@@ -13,8 +12,6 @@ import (
 // registration, publication and exposition never race.
 func TestConcurrentRegistryHammer(t *testing.T) {
 	r := New()
-	var clk FakeClock
-	tr := NewTracer(r, &clk, io.Discard)
 
 	const (
 		writers = 4
@@ -35,8 +32,7 @@ func TestConcurrentRegistryHammer(t *testing.T) {
 				// latest-generation-wins path must not race rendering.
 				v := float64(i)
 				r.GaugeFunc("mlq_test_hammer_live", "h", func() float64 { return v }, labels...)
-				sp := tr.Start("hammer", labels...)
-				sp.End()
+				r.Span("hammer", labels...).Observe(float64(i) * 1e-6)
 				et := NewErrorTracker(r, labels...)
 				et.Observe(float64(i), float64(i+1))
 			}
@@ -58,13 +54,6 @@ func TestConcurrentRegistryHammer(t *testing.T) {
 			}
 		}()
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < iters; i++ {
-			clk.Advance(time.Microsecond)
-		}
-	}()
 	wg.Wait()
 
 	var total int64

@@ -1,14 +1,16 @@
 // Package telemetry is the runtime observability layer of the MLQ engine:
 // a concurrency-safe registry of counters, gauges and log-bucketed
-// histograms, Prometheus-text and JSON exposition over HTTP (server.go), a
-// span tracer for the Figure-1 feedback loop with an injected clock
-// (trace.go, clock.go), and a rolling prediction-error tracker (errtrack.go).
+// histograms (including the Figure-1 feedback loop's per-stage span
+// histograms, see Registry.Span), Prometheus-text and JSON exposition over
+// HTTP (server.go), the injectable wall clock (clock.go), and a rolling
+// prediction-error tracker (errtrack.go). The structured run timeline is the
+// causal event spine in internal/events, not this package.
 //
 // The package is stdlib-only, matching the repository's no-external-deps
 // stance (see DESIGN.md §7), and every type is nil-safe: methods on a nil
-// *Registry, *Counter, *Gauge, *Histogram, *Tracer or *ErrorTracker are
-// no-ops, so instrumented code pays only a nil check when telemetry is
-// disabled — the hot-path contract the Predict benchmarks enforce.
+// *Registry, *Counter, *Gauge, *Histogram or *ErrorTracker are no-ops, so
+// instrumented code pays only a nil check when telemetry is disabled — the
+// hot-path contract TestInstrumentationAllocs pins.
 //
 // Metric names follow the scheme mlq_<layer>_<signal> (DESIGN.md §8), e.g.
 // mlq_quadtree_memory_utilization or mlq_engine_breaker_open. Series are
@@ -330,6 +332,14 @@ func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
 		return &Histogram{} // detached
 	}
 	return s.hist
+}
+
+// Span returns the duration histogram of one feedback-loop stage,
+// mlq_trace_span_seconds{span=name,labels...}, observed in seconds by the
+// stage's owner. Returns nil (a no-op histogram) on a nil registry.
+func (r *Registry) Span(name string, labels ...Label) *Histogram {
+	return r.Histogram("mlq_trace_span_seconds", "feedback-loop stage durations in seconds",
+		append([]Label{L("span", name)}, labels...)...)
 }
 
 // snapshot returns the families sorted by name, each with its series sorted

@@ -49,6 +49,7 @@ func TestNilSafety(t *testing.T) {
 	r.Histogram("c", "").Observe(1)
 	r.GaugeFunc("d", "", func() float64 { return 1 })
 	r.CounterFunc("e", "", func() float64 { return 1 })
+	r.Span("f").Observe(1)
 	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
 		t.Errorf("nil registry WritePrometheus: %v", err)
 	}
@@ -71,11 +72,6 @@ func TestNilSafety(t *testing.T) {
 	if h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 {
 		t.Error("nil histogram has state")
 	}
-	var tr *Tracer
-	sp := tr.Start("x")
-	sp.End()
-	tr.ObserveSpan("y", 1)
-	tr.Event("z")
 	var et *ErrorTracker
 	et.Observe(1, 2)
 }
