@@ -73,7 +73,8 @@ bench-concurrency:
 memwall:
 	$(GO) run ./cmd/mlqbench -exp memwall
 	$(GO) test -race ./internal/budget/ ./internal/buffercache/
-	$(GO) test -run=NONE -bench 'BenchmarkPredict$$|BenchmarkPredictResize$$' -benchtime 300ms .
+	$(GO) test -count=1 -run 'TestInstrumentationAllocs' .
+	$(GO) test -count=1 -run 'TestZeroAllocs' ./internal/quadtree/ ./internal/core/ ./internal/histogram/
 
 # Regenerate every figure of the paper at full workload sizes.
 repro:

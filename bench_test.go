@@ -361,12 +361,11 @@ func BenchmarkPredictEvents(b *testing.B) {
 	}
 }
 
-// TestInstrumentationAllocs pins the hot-path contract: instrumentation adds
-// no allocation to a prediction. A registry-instrumented tree's PredictBeta
-// allocates exactly as much as a bare tree's, and a Publisher's Predict with
-// an events.Recorder installed exactly as much as one without. The pins
-// compare against bare rather than a constant, so they hold whatever the
-// bare path itself allocates.
+// TestInstrumentationAllocs pins the hot-path contract: a prediction
+// allocates nothing, and instrumentation adds nothing to it. A bare tree's
+// PredictBeta and a bare Publisher's Predict allocate exactly 0; a
+// registry-instrumented tree and a Publisher with an events.Recorder
+// installed allocate exactly as much as their bare counterparts.
 func TestInstrumentationAllocs(t *testing.T) {
 	pts := randPoints(4096, 8)
 	treeAllocs := func(reg *telemetry.Registry) float64 {
@@ -377,7 +376,11 @@ func TestInstrumentationAllocs(t *testing.T) {
 			i++
 		})
 	}
-	if bare, on := treeAllocs(nil), treeAllocs(telemetry.New()); on != bare {
+	bare, on := treeAllocs(nil), treeAllocs(telemetry.New())
+	if bare != 0 {
+		t.Errorf("bare tree PredictBeta allocates %v/op, want 0", bare)
+	}
+	if on != bare {
 		t.Errorf("instrumented tree PredictBeta allocates %v/op, bare tree %v/op", on, bare)
 	}
 
@@ -390,7 +393,11 @@ func TestInstrumentationAllocs(t *testing.T) {
 			i++
 		})
 	}
-	if bare, on := pubAllocs(nil), pubAllocs(events.New(events.Config{Seed: 1})); on != bare {
+	bare, on = pubAllocs(nil), pubAllocs(events.New(events.Config{Seed: 1}))
+	if bare != 0 {
+		t.Errorf("bare Publisher.Predict allocates %v/op, want 0", bare)
+	}
+	if on != bare {
 		t.Errorf("Publisher.Predict with a recorder allocates %v/op, without %v/op", on, bare)
 	}
 }

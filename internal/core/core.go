@@ -1,9 +1,17 @@
 // Package core defines the UDF cost-modeling API of the paper's Figure 1:
 // a Model interface shared by the self-tuning MLQ methods and the static SH
-// baselines, an instrumented MLQ implementation that tracks the paper's
-// prediction and model-update costs (APC, AUC), an Estimator that binds a
-// model to a UDF's argument-to-model-variable transformation T, and a
-// DualEstimator that maintains the paper's separate CPU and disk-IO models.
+// baselines, and MLQ, the quadtree model that also reports the paper's
+// prediction and model-update costs (APC, AUC) from sampled timings (see
+// Costs). Estimator binds a model to a UDF's argument-to-model-variable
+// transformation T, and DualEstimator keeps the paper's separate CPU and
+// disk-IO models.
+//
+// Around MLQ sit the serving and extension layers: Synchronized serializes a
+// model for concurrent use; Publisher serves lock-free predictions from
+// immutable snapshots while observations are applied and replicated;
+// Fallback chains models down to a constant prior; AutoRange grows the
+// region of an MLQ whose argument ranges are not known in advance; and
+// Categorical keeps one sub-model per value of a nominal argument.
 package core
 
 import (
@@ -31,16 +39,52 @@ type Model interface {
 }
 
 // MLQ is the paper's memory-limited-quadtree cost model with the
-// instrumentation needed by Experiment 2: it accumulates wall time spent in
-// prediction, insertion and compression so APC and AUC (Eq. 1, 2) can be
-// reported. MLQ is not safe for concurrent use; see Synchronized.
+// instrumentation needed by Experiment 2: it accumulates the wall time spent
+// in prediction, insertion and compression so APC and AUC (Eq. 1, 2) can be
+// reported. Prediction and insertion time are sampled (see costSampleEvery);
+// compression time is the tree's exact sum. MLQ is not safe for concurrent
+// use; see Synchronized.
 type MLQ struct {
 	tree *quadtree.Tree
 
-	predTime    time.Duration
-	predCount   int64
-	updateTime  time.Duration // insertion including in-line compression
-	updateCount int64
+	pred costSampler // Predict and PredictBeta
+	ins  costSampler // Observe, less the compression its sampled calls ran
+}
+
+// costSampleEvery is the cost sampling period: Predict and Observe read
+// the clock on one call in 64, starting with the first. Two clock reads
+// around every call were about a fifth of the CPU time of an optimizer's
+// predict-and-observe step; one call in 64 costs a few hundredths of that.
+const costSampleEvery = 64
+
+// costSampler counts calls exactly and times one call in costSampleEvery.
+type costSampler struct {
+	calls   int64         // every call
+	sampled int64         // timed calls
+	elapsed time.Duration // summed over the timed calls
+}
+
+// due reports whether the next call is to be timed, counting it either way.
+func (s *costSampler) due() bool {
+	s.calls++
+	return (s.calls-1)%costSampleEvery == 0
+}
+
+// add records one timed call.
+func (s *costSampler) add(d time.Duration) {
+	s.sampled++
+	s.elapsed += d
+}
+
+// total estimates the time of all calls as sampled time × calls / sampled.
+// The ratio estimator is unbiased for any call count; scaling each sample
+// by costSampleEvery instead would overstate a model asked fewer than 64
+// times.
+func (s *costSampler) total() time.Duration {
+	if s.sampled == 0 {
+		return 0
+	}
+	return time.Duration(float64(s.elapsed) * float64(s.calls) / float64(s.sampled))
 }
 
 var _ Model = (*MLQ)(nil)
@@ -60,29 +104,39 @@ func NewMLQFrom(t *quadtree.Tree) *MLQ { return &MLQ{tree: t} }
 
 // Predict implements Model using the tree's configured β.
 func (m *MLQ) Predict(p geom.Point) (float64, bool) {
+	if !m.pred.due() {
+		return m.tree.Predict(p)
+	}
 	start := time.Now()
 	v, ok := m.tree.Predict(p)
-	m.predTime += time.Since(start)
-	m.predCount++
+	m.pred.add(time.Since(start))
 	return v, ok
 }
 
 // PredictBeta predicts with an explicit β, overriding the configured one.
 func (m *MLQ) PredictBeta(p geom.Point, beta int) (float64, bool) {
+	if !m.pred.due() {
+		return m.tree.PredictBeta(p, beta)
+	}
 	start := time.Now()
 	v, ok := m.tree.PredictBeta(p, beta)
-	m.predTime += time.Since(start)
-	m.predCount++
+	m.pred.add(time.Since(start))
 	return v, ok
 }
 
 // Observe implements Model: it inserts the observed execution as a new data
-// point, compressing if the memory limit is exceeded.
+// point, compressing if the memory limit is exceeded. A timed call is
+// charged its wall time less the compression it ran, so the samples
+// estimate the insertion cost (IC) alone.
 func (m *MLQ) Observe(p geom.Point, actual float64) error {
+	if !m.ins.due() {
+		return m.tree.Insert(p, actual)
+	}
+	cc := m.tree.CompressTime()
 	start := time.Now()
 	err := m.tree.Insert(p, actual)
-	m.updateTime += time.Since(start)
-	m.updateCount++
+	d := time.Since(start)
+	m.ins.add(d - (m.tree.CompressTime() - cc))
 	return err
 }
 
@@ -122,7 +176,9 @@ func ReadMLQ(r io.Reader) (*MLQ, error) {
 
 // Costs is the paper's modeling-cost breakdown (Experiment 2, Fig. 10):
 // cumulative wall time spent predicting (PC), inserting (IC) and
-// compressing (CC), plus the counter denominators.
+// compressing (CC), plus the counter denominators. PC and IC are ratio
+// estimates from one call in 64 (see costSampleEvery); CC and the counters
+// are exact.
 type Costs struct {
 	PredictTime  time.Duration // PC
 	InsertTime   time.Duration // IC (excludes compression)
@@ -154,17 +210,12 @@ func (c Costs) AUC() time.Duration {
 
 // Costs returns the model's accumulated cost breakdown.
 func (m *MLQ) Costs() Costs {
-	cc := m.tree.CompressTime()
-	ic := m.updateTime - cc
-	if ic < 0 {
-		ic = 0
-	}
 	return Costs{
-		PredictTime:  m.predTime,
-		InsertTime:   ic,
-		CompressTime: cc,
-		Predictions:  m.predCount,
-		Inserts:      m.updateCount,
+		PredictTime:  m.pred.total(),
+		InsertTime:   m.ins.total(),
+		CompressTime: m.tree.CompressTime(),
+		Predictions:  m.pred.calls,
+		Inserts:      m.ins.calls,
 		Compressions: m.tree.Compressions(),
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"sync"
 	"testing"
+	"time"
 
 	"mlq/internal/geom"
 	"mlq/internal/geom/geomtest"
@@ -74,6 +75,102 @@ func TestCostsAccounting(t *testing.T) {
 	}
 	if c.UpdateTime() != c.InsertTime+c.CompressTime {
 		t.Error("MUC must equal IC + CC")
+	}
+}
+
+// The cost sampler times one call in costSampleEvery, starting with the
+// first, so both times are positive after any number of calls while the
+// counters stay exact.
+func TestCostsSampledCounters(t *testing.T) {
+	for _, n := range []int{1, costSampleEvery - 1, costSampleEvery, costSampleEvery + 1} {
+		m := newTestMLQ(t, quadtree.Eager)
+		for i := 0; i < n; i++ {
+			p := geom.Point{float64(i % 100), float64((i * 7) % 100)}
+			if err := m.Observe(p, float64(i)); err != nil {
+				t.Fatal(err)
+			}
+			if i%2 == 0 {
+				m.Predict(p)
+			} else {
+				m.PredictBeta(p, 2)
+			}
+		}
+		c := m.Costs()
+		if c.Predictions != int64(n) || c.Inserts != int64(n) {
+			t.Errorf("after %d calls: counters %+v", n, c)
+		}
+		if c.PredictTime <= 0 || c.InsertTime <= 0 {
+			t.Errorf("after %d calls: times not recorded: %+v", n, c)
+		}
+	}
+}
+
+// Sampled Observe calls subtract the compression they ran, so IC is never
+// negative and MUC = IC + CC with CC the tree's exact compression time.
+func TestCostsUpdateTimeWithCompressions(t *testing.T) {
+	m := newTestMLQ(t, quadtree.Eager)
+	for i := 0; i < 5000; i++ {
+		if err := m.Observe(geom.Point{float64(i % 100), float64((i * 31) % 100)}, float64(i%13)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := m.Costs()
+	if c.Compressions == 0 {
+		t.Fatal("expected compressions under a 50-node budget")
+	}
+	if c.CompressTime != m.Tree().CompressTime() {
+		t.Errorf("CC = %v, tree compressed for %v", c.CompressTime, m.Tree().CompressTime())
+	}
+	if c.InsertTime <= 0 || c.CompressTime <= 0 {
+		t.Errorf("IC and CC must both be positive: %+v", c)
+	}
+	if c.UpdateTime() != c.InsertTime+c.CompressTime {
+		t.Error("MUC must equal IC + CC")
+	}
+}
+
+// With fewer than costSampleEvery predictions only the first is timed, and
+// the ratio estimator charges every call that one sample: APC is the first
+// call's time, which cannot exceed a clock read around that call. Scaling
+// the sample by the period instead would report ~64/n times too much.
+func TestCostsFewPredictionsAPC(t *testing.T) {
+	m := newTestMLQ(t, quadtree.Eager)
+	for i := 0; i < 200; i++ {
+		if err := m.Observe(geom.Point{float64(i % 100), float64((i * 7) % 100)}, float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := time.Now()
+	m.Predict(geom.Point{50, 50})
+	first := time.Since(start)
+	for i := 0; i < 9; i++ {
+		m.Predict(geom.Point{float64(i * 10), 20})
+	}
+	c := m.Costs()
+	if c.Predictions != 10 {
+		t.Fatalf("Predictions = %d, want 10", c.Predictions)
+	}
+	if apc := c.APC(); apc <= 0 || apc > first {
+		t.Errorf("APC = %v over 10 predictions; the first call took %v around it", apc, first)
+	}
+}
+
+// TestZeroAllocsPredict pins that APC accounting adds no allocation:
+// MLQ.Predict allocates nothing, timed calls included.
+func TestZeroAllocsPredict(t *testing.T) {
+	m := newTestMLQ(t, quadtree.Lazy)
+	for i := 0; i < 2000; i++ {
+		if err := m.Observe(geom.Point{float64(i % 100), float64((i * 7) % 100)}, float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pts := []geom.Point{{50, 50}, {-5, 120}, {99.5, 0}, {12, 87}}
+	i := 0
+	if n := testing.AllocsPerRun(10*costSampleEvery, func() {
+		m.Predict(pts[i%len(pts)])
+		i++
+	}); n != 0 {
+		t.Errorf("MLQ.Predict allocates %v/op, want 0", n)
 	}
 }
 

@@ -100,19 +100,28 @@ func (r Rect) Contains(p Point) bool {
 // boundary points (e.g. an argument at its documented maximum) without
 // special-casing the half-open convention.
 func (r Rect) Clamp(p Point) Point {
-	q := p.Clone()
-	for i := range q {
-		if q[i] < r.Lo[i] {
-			q[i] = r.Lo[i]
+	q := make(Point, len(p))
+	r.ClampInto(q, p)
+	return q
+}
+
+// ClampInto is Clamp writing into dst instead of allocating: dst[i] becomes
+// p's i-th coordinate clamped into the rectangle, for every i < len(p). dst
+// must be at least len(p) long and may alias p. The hot prediction and
+// insertion paths clamp into stack buffers with it.
+func (r Rect) ClampInto(dst, p Point) {
+	for i, v := range p {
+		if v < r.Lo[i] {
+			v = r.Lo[i]
 		}
-		if q[i] >= r.Hi[i] {
-			q[i] = math.Nextafter(r.Hi[i], math.Inf(-1))
-			if q[i] < r.Lo[i] {
-				q[i] = r.Lo[i]
+		if v >= r.Hi[i] {
+			v = math.Nextafter(r.Hi[i], math.Inf(-1))
+			if v < r.Lo[i] {
+				v = r.Lo[i]
 			}
 		}
+		dst[i] = v
 	}
-	return q
 }
 
 // Center returns the midpoint of the rectangle.
@@ -162,6 +171,21 @@ func (r Rect) Child(idx uint32) Rect {
 		}
 	}
 	return Rect{Lo: lo, Hi: hi}
+}
+
+// NarrowTo shrinks the rectangle in place to its sub-block with the given
+// index: afterwards r's bounds equal r.Child(idx)'s, bit for bit, because
+// the midpoint is the same expression. A descent that owns its bounds
+// narrows with it instead of allocating a fresh Rect per level.
+func (r Rect) NarrowTo(idx uint32) {
+	for i := range r.Lo {
+		mid := r.Lo[i] + (r.Hi[i]-r.Lo[i])/2
+		if idx&(1<<uint(i)) != 0 {
+			r.Lo[i] = mid
+		} else {
+			r.Hi[i] = mid
+		}
+	}
 }
 
 // String renders the rectangle as "[lo .. hi)".

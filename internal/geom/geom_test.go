@@ -102,6 +102,54 @@ func TestClamp(t *testing.T) {
 	}
 }
 
+// ClampInto writes exactly what Clamp returns, including when dst aliases
+// p, and leaves p alone otherwise.
+func TestClampIntoMatchesClamp(t *testing.T) {
+	r := MustRect(Point{0, -5, 2}, Point{10, 5, 3})
+	for _, p := range []Point{{-1, 10, 2.5}, {5, 0, 3}, {10, -5, 1}, {math.NaN(), 4.9, 2}} {
+		want := r.Clamp(p)
+		orig := p.Clone()
+		var buf [3]float64
+		r.ClampInto(buf[:], p)
+		alias := p.Clone()
+		r.ClampInto(alias, alias)
+		for i := range want {
+			same := func(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }
+			if !same(buf[i], want[i]) || !same(alias[i], want[i]) {
+				t.Errorf("ClampInto(%v) = %v (aliased %v), Clamp = %v", p, buf, alias, want)
+			}
+			if !same(p[i], orig[i]) {
+				t.Errorf("ClampInto modified its input: %v, was %v", p, orig)
+			}
+		}
+	}
+}
+
+// NarrowTo lands on Child's bounds bit for bit, level after level.
+func TestNarrowToMatchesChild(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for iter := 0; iter < 200; iter++ {
+		d := 1 + rng.Intn(9)
+		lo, hi := make(Point, d), make(Point, d)
+		for i := range lo {
+			lo[i] = rng.Float64()*20 - 10
+			hi[i] = lo[i] + rng.Float64()*10 + 0.001
+		}
+		ref := MustRect(lo, hi)
+		cur := ref.Clone()
+		for level := 0; level < 12; level++ {
+			idx := uint32(rng.Intn(1 << uint(d)))
+			ref = ref.Child(idx)
+			cur.NarrowTo(idx)
+			for i := range ref.Lo {
+				if cur.Lo[i] != ref.Lo[i] || cur.Hi[i] != ref.Hi[i] {
+					t.Fatalf("level %d: NarrowTo gave %v, Child %v", level, cur, ref)
+				}
+			}
+		}
+	}
+}
+
 func TestCenterAndDiagonal(t *testing.T) {
 	r := MustRect(Point{0, 0}, Point{4, 3})
 	c := r.Center()

@@ -238,7 +238,15 @@ func (h *Histogram) Predict(p geom.Point) (float64, bool) {
 	if h.seen == 0 {
 		return 0, false
 	}
-	i := h.bucketIndex(h.region.Clamp(p))
+	var buf [8]float64
+	var q geom.Point
+	if n := len(p); n <= len(buf) {
+		q = buf[:n]
+	} else {
+		q = make(geom.Point, n)
+	}
+	h.region.ClampInto(q, p)
+	i := h.bucketIndex(q)
 	v := h.global
 	if h.counts[i] != 0 {
 		v = h.sums[i] / float64(h.counts[i])

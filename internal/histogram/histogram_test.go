@@ -246,3 +246,32 @@ func TestEquiHeightBeatsEquiWidthOnSkew(t *testing.T) {
 }
 
 func almostEq(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
+
+// TestZeroAllocsPredict pins that prediction clamps into a stack buffer:
+// Predict allocates nothing for either kind, including for points it has
+// to clamp.
+func TestZeroAllocsPredict(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var samples []Sample
+	for i := 0; i < 2000; i++ {
+		p := geom.Point{rng.Float64() * 100, rng.Float64() * 100}
+		samples = append(samples, Sample{Point: p, Value: p[0] + p[1]})
+	}
+	queries := make([]geom.Point, 256)
+	for i := range queries {
+		queries[i] = geom.Point{rng.Float64()*120 - 10, rng.Float64()*120 - 10}
+	}
+	for _, kind := range []Kind{EquiWidth, EquiHeight} {
+		h, err := Train(kind, Config{Region: region2(), Intervals: 8}, samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := 0
+		if n := testing.AllocsPerRun(1000, func() {
+			h.Predict(queries[i%len(queries)])
+			i++
+		}); n != 0 {
+			t.Errorf("%v Predict allocates %v/op, want 0", kind, n)
+		}
+	}
+}

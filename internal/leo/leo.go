@@ -100,11 +100,18 @@ func New(cfg Config) (*Model, error) {
 
 // cell maps a point to its adjustment-table index.
 func (m *Model) cell(p geom.Point) int {
-	p = m.cfg.Region.Clamp(p)
+	var buf [8]float64
+	var q geom.Point
+	if n := len(p); n <= len(buf) {
+		q = buf[:n]
+	} else {
+		q = make(geom.Point, n)
+	}
+	m.cfg.Region.ClampInto(q, p)
 	idx := 0
-	for dim := len(p) - 1; dim >= 0; dim-- {
+	for dim := len(q) - 1; dim >= 0; dim-- {
 		lo, hi := m.cfg.Region.Lo[dim], m.cfg.Region.Hi[dim]
-		i := int(float64(m.cfg.GridSize) * (p[dim] - lo) / (hi - lo))
+		i := int(float64(m.cfg.GridSize) * (q[dim] - lo) / (hi - lo))
 		if i < 0 {
 			i = 0
 		}

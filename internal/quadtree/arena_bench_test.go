@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
+
+	"mlq/internal/geom"
 )
 
 // linearChild is the lookup the sorted spans replaced: a left-to-right scan
@@ -73,5 +76,79 @@ func TestLinearChildAgrees(t *testing.T) {
 		if got, want := linearChild(a, 0, idx), a.child(0, idx); got != want {
 			t.Errorf("linearChild(%d) = %d, child = %d", idx, got, want)
 		}
+	}
+}
+
+// arenaBytes is the memory the descent reads from: the node slots plus the
+// shared child-entry slice.
+func arenaBytes(a *arena) int {
+	return len(a.nodes)*int(unsafe.Sizeof(node{})) + len(a.kids)*int(unsafe.Sizeof(kidRef{}))
+}
+
+// xorshift is a tiny inline generator, so the arena sweep can draw every
+// query point fresh instead of cycling a pool that would itself stay
+// cache-resident.
+type xorshift uint64
+
+func (x *xorshift) unit() float64 {
+	*x ^= *x << 13
+	*x ^= *x >> 7
+	*x ^= *x << 17
+	return float64(*x>>11) / (1 << 53)
+}
+
+// arenaSink keeps the compiler from discarding the benchmarked prediction.
+var arenaSink float64
+
+// BenchmarkPredictArena sweeps Predict across arenas of 32 KiB, 1 MiB,
+// 8 MiB and 64 MiB — sizes chosen to sit in L1, L2, L3 and RAM on common
+// server parts — to locate the cache-residency cliff of the descent. Each
+// tree is a 4-D eager MLQ grown by uniform inserts until its arena reaches
+// the size, with a budget large enough that it never compresses; queries
+// are uniform and drawn fresh, so every level's node is a random access.
+// ns/op per level of the reported mean depth, compared across sizes, is the
+// memory hierarchy's share of a prediction.
+func BenchmarkPredictArena(b *testing.B) {
+	for _, size := range []struct {
+		name  string
+		bytes int
+	}{{"32KiB", 32 << 10}, {"1MiB", 1 << 20}, {"8MiB", 8 << 20}, {"64MiB", 64 << 20}} {
+		tr, err := New(Config{Region: geom.UnitCube(4), MaxDepth: 8, MemoryLimit: 1 << 30})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := xorshift(uint64(size.bytes))
+		p := make(geom.Point, 4)
+		for arenaBytes(&tr.a) < size.bytes {
+			for i := range p {
+				p[i] = rng.unit()
+			}
+			if err := tr.Insert(p, p[0]+p[1]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		// The mean answering depth normalizes ns/op: bigger trees are also
+		// deeper, so part of their cost is more levels, not slower ones.
+		depths, probe := 0, xorshift(3)
+		for i := 0; i < 4096; i++ {
+			for j := range p {
+				p[j] = probe.unit()
+			}
+			_, d, _ := tr.PredictDepth(p, 1)
+			depths += d
+		}
+		b.Run(size.name, func(b *testing.B) {
+			q := make(geom.Point, 4)
+			rng := xorshift(7)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range q {
+					q[j] = rng.unit()
+				}
+				arenaSink, _ = tr.Predict(q)
+			}
+			b.ReportMetric(float64(tr.NodeCount()), "nodes")
+			b.ReportMetric(float64(depths)/4096, "depth")
+		})
 	}
 }

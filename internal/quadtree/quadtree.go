@@ -281,11 +281,24 @@ func (t *Tree) Insert(p geom.Point, value float64) error {
 	if math.IsNaN(value) || math.IsInf(value, 0) {
 		return fmt.Errorf("quadtree: cost value must be finite, got %g", value)
 	}
-	p = t.cfg.Region.Clamp(p)
+	// Clamp into, and narrow the block bounds inside, stack buffers (heap
+	// ones past 8 dimensions): Insert allocates only when it grows the
+	// arena. NarrowTo is Child's midpoint expression, so the path is the
+	// one a fresh Rect per level would take.
+	var pbuf, lobuf, hibuf [8]float64
+	var q, lo, hi geom.Point
+	if n := len(p); n <= len(pbuf) {
+		q, lo, hi = pbuf[:n], lobuf[:n], hibuf[:n]
+	} else {
+		q, lo, hi = make(geom.Point, n), make(geom.Point, n), make(geom.Point, n)
+	}
+	t.cfg.Region.ClampInto(q, p)
+	copy(lo, t.cfg.Region.Lo)
+	copy(hi, t.cfg.Region.Hi)
+	p, region := q, geom.Rect{Lo: lo, Hi: hi}
 
 	th := t.Threshold()
 	cn := int32(0)
-	region := t.cfg.Region
 	t.a.add(cn, value)
 	deferred := false
 	for depth := 0; depth < t.cfg.MaxDepth; depth++ {
@@ -301,7 +314,7 @@ func (t *Tree) Insert(p geom.Point, value float64) error {
 			child = t.a.addChild(cn, idx)
 			t.nodeCount++
 		}
-		region = region.Child(idx)
+		region.NarrowTo(idx)
 		cn = child
 		t.a.add(cn, value)
 	}
@@ -380,25 +393,27 @@ func (t *Tree) PredictDepth(p geom.Point, beta int) (value float64, depth int, o
 // The prediction algorithms take the arena and config explicitly so that
 // Tree and the immutable Snapshot share one implementation of the hot path.
 
-// descend walks from the root to the deepest block containing p, returning
-// the lowest slot whose count is at least beta and its depth (Fig. 3's
-// search). This is the hot path every prediction pays, so it avoids the
-// conveniences the mutation paths use: the arena slices are hoisted into
-// locals, each node is loaded exactly once per level, the child binary
-// search is inlined over the shared kids slice, and the region bounds are
-// narrowed in scratch buffers instead of allocating a fresh Rect per level
-// with geom.Rect.Child. The midpoint arithmetic is the same expression
-// Rect.ChildIndex and Rect.Child evaluate, so the descent visits exactly
-// the slots the allocating version would.
+// descend clamps p into region and walks from the root to the deepest block
+// containing it, returning the lowest slot whose count is at least beta and
+// its depth (Fig. 3's search). This is the hot path every prediction pays,
+// so it avoids the conveniences the mutation paths use: the arena slices are
+// hoisted into locals, each node is loaded exactly once per level, the child
+// binary search is inlined over the shared kids slice, and the clamped point
+// and the region bounds live in stack scratch buffers (heap ones past 8
+// dimensions) instead of a clamped copy plus a fresh Rect per level with
+// geom.Rect.Child. The clamp is geom.Rect.ClampInto and the midpoint
+// arithmetic is the same expression Rect.ChildIndex and Rect.Child evaluate,
+// so the descent visits exactly the slots the allocating version would.
 func descend(a *arena, region geom.Rect, p geom.Point, beta int) (best int32, bestDepth int) {
 	nodes, kids := a.nodes, a.kids
-	var lobuf, hibuf, midbuf [8]float64
-	var lo, hi, mids []float64
-	if n := len(region.Lo); n <= len(lobuf) {
-		lo, hi, mids = lobuf[:n], hibuf[:n], midbuf[:n]
+	var qbuf, lobuf, hibuf, midbuf [8]float64
+	var q, lo, hi, mids []float64
+	if n := len(region.Lo); n <= len(lobuf) && len(p) <= len(qbuf) {
+		q, lo, hi, mids = qbuf[:len(p)], lobuf[:n], hibuf[:n], midbuf[:n]
 	} else {
-		lo, hi, mids = make([]float64, n), make([]float64, n), make([]float64, n)
+		q, lo, hi, mids = make([]float64, len(p)), make([]float64, n), make([]float64, n), make([]float64, n)
 	}
+	region.ClampInto(q, p)
 	copy(lo, region.Lo)
 	copy(hi, region.Hi)
 	cn := int32(0)
@@ -408,7 +423,7 @@ func descend(a *arena, region geom.Rect, p geom.Point, beta int) (best int32, be
 			best, bestDepth = cn, d
 		}
 		var idx uint32
-		for i, v := range p {
+		for i, v := range q {
 			mid := lo[i] + (hi[i]-lo[i])/2
 			mids[i] = mid
 			if v >= mid {
@@ -446,7 +461,7 @@ func predictBeta(a *arena, region geom.Rect, p geom.Point, beta int) (value floa
 	if beta < 1 {
 		beta = 1
 	}
-	best, _ := descend(a, region, region.Clamp(p), beta)
+	best, _ := descend(a, region, p, beta)
 	return finiteAvg(a, best)
 }
 
@@ -458,7 +473,7 @@ func predictEstimate(a *arena, region geom.Rect, p geom.Point, beta int) (Estima
 	if beta < 1 {
 		beta = 1
 	}
-	best, bestDepth := descend(a, region, region.Clamp(p), beta)
+	best, bestDepth := descend(a, region, p, beta)
 	var std float64
 	if a.nodes[best].count > 0 {
 		std = math.Sqrt(a.sse(best) / float64(a.nodes[best].count))
@@ -483,7 +498,7 @@ func predictDepth(a *arena, region geom.Rect, p geom.Point, beta int) (value flo
 	if beta < 1 {
 		beta = 1
 	}
-	best, bestDepth := descend(a, region, region.Clamp(p), beta)
+	best, bestDepth := descend(a, region, p, beta)
 	v, ok := finiteAvg(a, best)
 	return v, bestDepth, ok
 }
