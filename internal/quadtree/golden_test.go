@@ -10,13 +10,22 @@ import (
 	"mlq/internal/geom/geomtest"
 )
 
-// The golden artifacts under testdata/ were serialized by the pre-arena
-// (pointer-linked) implementation via a one-shot generator (cmd/gengolden, removed after use) and are committed
-// permanently. These tests prove the arena refactor's central compatibility
-// claim: the same insert sequence emits byte-identical frames, and frames
-// written before the refactor still decode. If one of them fails, the
-// slot-order-equals-creation-order invariant (see arena.go) has been broken
-// — do not regenerate the artifacts to make it pass.
+// The golden artifacts under testdata/ come in two generations.
+//
+// prearena_*.bin were serialized by the pre-arena (pointer-linked)
+// implementation via a one-shot generator (cmd/gengolden, removed after use)
+// and are committed permanently. TestGoldenFramesStillDecode proves that
+// frames written then still decode and re-encode byte for byte; if it
+// fails, the slot-order-equals-creation-order invariant (see arena.go) has
+// been broken — do not regenerate the artifacts to make it pass.
+//
+// slotorder_*.bin are the frames the same insert sequences emit since
+// compression ranks victims by (key, arena slot). The pre-arena code broke
+// SSEG ties by container/heap's layout over a depth-first enumeration, so
+// both workloads, which compress dozens of times, evict different but
+// equally cheap leaves and emit different bytes from the pre-arena frames.
+// TestGoldenSerializationCompat pins the emitted bytes against these
+// frames, so any change to the victim order or to the encoding shows.
 
 // goldenLCG is the deterministic generator the golden generator used; duplicated
 // here (not imported) so the test workload can never drift.
@@ -84,8 +93,8 @@ func TestGoldenSerializationCompat(t *testing.T) {
 		file  string
 		build func(*testing.T) *Tree
 	}{
-		{"eager", "prearena_eager.bin", goldenEagerTree},
-		{"lazy", "prearena_lazy.bin", goldenLazyTree},
+		{"eager", "slotorder_eager.bin", goldenEagerTree},
+		{"lazy", "slotorder_lazy.bin", goldenLazyTree},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -96,7 +105,7 @@ func TestGoldenSerializationCompat(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(buf.Bytes(), want) {
-				t.Fatalf("arena tree serialized to %d bytes differing from the %d-byte pre-arena golden frame",
+				t.Fatalf("tree serialized to %d bytes differing from the %d-byte golden frame",
 					buf.Len(), len(want))
 			}
 			// A snapshot of the same tree must emit the identical frame too.
