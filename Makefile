@@ -74,7 +74,7 @@ memwall:
 	$(GO) run ./cmd/mlqbench -exp memwall
 	$(GO) test -race ./internal/budget/ ./internal/buffercache/
 	$(GO) test -count=1 -run 'TestInstrumentationAllocs' .
-	$(GO) test -count=1 -run 'TestZeroAllocs' ./internal/quadtree/ ./internal/core/ ./internal/histogram/
+	$(GO) test -count=1 -run 'TestZeroAllocs|TestCompressAllocs' ./internal/quadtree/ ./internal/core/ ./internal/histogram/
 
 # Regenerate every figure of the paper at full workload sizes.
 repro:

@@ -439,18 +439,30 @@ func newPredictPublisher(tb testing.TB, pts []geom.Point, rec *events.Recorder) 
 	return pub
 }
 
-// BenchmarkCompress measures one full compression pass over a large tree.
+// BenchmarkCompress times one compression pass over a tree at its budget,
+// in the two shapes perfbench runs: ~16 KiB, where a pass evicts one node,
+// and ~1 MiB (~52k nodes), where it evicts 53. Each iteration compresses a
+// fresh clone of the same tree, so every pass does the same work.
 func BenchmarkCompress(b *testing.B) {
-	pts := randPoints(8192, 9)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		t := newBenchTree(b, quadtree.Eager, 1<<20)
-		for j := 0; j < 8192; j++ {
-			t.Insert(pts[j], float64(j%10000))
-		}
-		b.StartTimer()
-		t.Compress()
+	pts := randPoints(1<<16, 9)
+	for _, c := range []struct {
+		name  string
+		bytes int
+	}{{"16KiB", 16 << 10}, {"1MiB", 1 << 20}} {
+		b.Run(c.name, func(b *testing.B) {
+			t := newBenchTree(b, quadtree.Lazy, c.bytes/quadtree.DefaultNodeBytes)
+			for j := 0; t.Compressions() < 8; j++ {
+				t.Insert(pts[j%len(pts)], float64(j%10000))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				clone := t.Clone()
+				b.StartTimer()
+				clone.Compress()
+			}
+		})
 	}
 }
 

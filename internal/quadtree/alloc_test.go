@@ -81,6 +81,38 @@ func TestZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestCompressAllocs pins the compression pass's allocations at a 16 KiB
+// budget, where each pass evicts one node: a compressing Insert allocates
+// once, for the compaction's remap table. The victim heap lives on the
+// pass's stack. The kids slice regrows now and then past the spare room
+// compactKids leaves (6 to 8 times in these 500 passes), so 2% is allowed
+// on top.
+func TestCompressAllocs(t *testing.T) {
+	pts := allocPoints(4096, 4, 3)
+	tr := mustTree(t, Config{Region: cubeRegion(4, 1000), Strategy: Lazy, MemoryLimit: 16 << 10})
+	i := 0
+	// untilPass inserts until one compression pass has run.
+	untilPass := func() {
+		for c := tr.Compressions(); tr.Compressions() == c; i++ {
+			if err := tr.Insert(pts[i%len(pts)], float64(i%10000)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for tr.Compressions() < 200 {
+		untilPass()
+	}
+	// One run of 500 passes, so the count is exact, not rounded down.
+	const passes = 500
+	if n := testing.AllocsPerRun(1, func() {
+		for j := 0; j < passes; j++ {
+			untilPass()
+		}
+	}); n > passes+passes/50 {
+		t.Errorf("%d compressing Inserts allocate %v times, want at most %d (one remap table each, 2%% regrowth)", passes, n, passes+passes/50)
+	}
+}
+
 // refDescentInsert is Insert's descent as written before it clamped and
 // narrowed in place: a clamped copy of the point and a fresh Rect per level
 // from Rect.Child. It keeps Insert's kids compaction but skips compression,

@@ -20,20 +20,19 @@ import "math"
 //
 // Two orderings coexist deliberately. Spans are *stored* sorted by quadrant
 // index so lookups can binary-search. Everything that *enumerates* children
-// — serialization, compression victim collection, SSENC sums, Walk — visits
-// them in creation order (ascending slot, see creationOrder), which is
-// exactly the order the seed implementation's append-built child slices
-// had. That equivalence is what keeps catalog frames byte-identical and
-// every experiment figure bit-identical across the refactor: compression
-// tie-breaking and the ablation policies' victim keys depend on collection
-// order, and float summation order is observable in the last ULP.
+// — serialization, SSENC sums, Walk, Merge — visits them in creation order
+// (ascending slot, see creationOrder), which is exactly the order the seed
+// implementation's append-built child slices had. That equivalence is what
+// keeps catalog frames byte-identical across the refactor: float summation
+// order is observable in the last ULP.
 //
 // Slot allocation is append-only between compression passes, so ascending
 // slot number is ascending creation time; the stable compaction at the end
 // of each pass (see compress) preserves relative order, keeping the
-// invariant across the tree's whole lifetime. The kids slice has no such
-// order: spans are relocated to its tail as they grow, and compactKids
-// keeps them in offset order.
+// invariant across the tree's whole lifetime. Compression relies on it
+// too: among leaves with equal keys it evicts the lower slot, the older
+// node, first. The kids slice has no such order: spans are relocated to
+// its tail as they grow, and compactKids keeps them in offset order.
 
 // noParent marks the root's parent slot.
 const noParent = int32(-1)
@@ -178,17 +177,6 @@ func (a *arena) creationOrder(n int32, buf []kidRef) []kidRef {
 	return buf
 }
 
-// leafCount returns the number of slots with no children.
-func (a *arena) leafCount() int {
-	n := 0
-	for i := range a.nodes {
-		if a.nodes[i].kidLen == 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // compactKids squeezes the garbage out of the kids slice in place. It
 // first marks every live span: the span's first entry holds its owner,
 // encoded as -(owner+2), and the owner's kidOff holds that entry's ref
@@ -247,7 +235,8 @@ func (a *arena) compactKids() {
 // compactNodes squeezes dead slots out of the node slice, remapping parents
 // and child refs. The compaction is stable — surviving slots keep their
 // relative order — which preserves the slot-order-is-creation-order
-// invariant creationOrder depends on. It returns the number of live slots.
+// invariant that creationOrder and the victim order depend on. It returns
+// the number of live slots.
 func (a *arena) compactNodes() int {
 	remap := make([]int32, len(a.nodes))
 	live := 0

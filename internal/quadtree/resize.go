@@ -3,7 +3,6 @@ package quadtree
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // MemoryLimit returns the live memory budget in bytes. It starts at
@@ -44,22 +43,10 @@ func (t *Tree) Resize(newLimit int) error {
 	return nil
 }
 
-// MarginalSSEG returns the SSEG (Eq. 9) and point count of the compression
-// queue's cheapest removable leaf — the node the next eviction would take
-// and therefore the tree's marginal holding: what the last NodeBytes of
-// budget are currently buying. ok is false when only the root remains.
-func (t *Tree) MarginalSSEG() (sseg float64, count int64, ok bool) {
-	return arenaMarginalSSEG(&t.a)
-}
-
-// MarginalSSEG is Tree.MarginalSSEG against the frozen arena.
-func (s *Snapshot) MarginalSSEG() (sseg float64, count int64, ok bool) {
-	return arenaMarginalSSEG(&s.a)
-}
-
 // ShrinkLoss estimates the accuracy price of freeing the given number of
-// bytes: compression would evict the ceil(bytes/NodeBytes) cheapest leaves
-// in ascending SSEG order, and each evicted leaf b makes queries landing in
+// bytes: compression would evict the ceil(bytes/NodeBytes) first leaves in
+// the victim order (ascending SSEG, the older node first among equal keys;
+// see compress), and each evicted leaf b makes queries landing in
 // b fall back to its parent's average — an expected absolute-error increase
 // of sqrt(SSEG(b)·C(b))/N per query, where N is the tree's total insert
 // count (the leaf's points are C(b) of N, and its average sits
@@ -67,10 +54,11 @@ func (s *Snapshot) MarginalSSEG() (sseg float64, count int64, ok bool) {
 // sum over the evicted set: estimated extra absolute prediction error per
 // query, in the cost units the tree observes.
 //
-// The estimate prices leaves only — parents that would join the queue
-// mid-pass are not re-queued — so it is a lower bound on the true drain,
-// which is exactly what a marginal-value comparison wants. Zero when the
-// tree has no removable leaves or no inserts yet.
+// The estimate prices the leaves that exist now, through the same slot
+// scan compress runs — parents that would join the candidates mid-pass are
+// not priced — so it is a lower bound on the true drain, which is exactly
+// what a marginal-value comparison wants. Zero when the tree has no
+// removable leaves or no inserts yet.
 func (t *Tree) ShrinkLoss(bytes int) float64 {
 	return arenaShrinkLoss(&t.a, t.cfg.NodeBytes, t.inserts, bytes)
 }
@@ -80,57 +68,21 @@ func (s *Snapshot) ShrinkLoss(bytes int) float64 {
 	return arenaShrinkLoss(&s.a, s.cfg.NodeBytes, s.inserts, bytes)
 }
 
-// removableLeaves collects the (sseg, count) pairs of every non-root leaf.
-// Outside a compression pass the arena is compacted — every slot is live —
-// so a flat scan visits exactly the tree's nodes in creation order.
-func removableLeaves(a *arena) []heapItem {
-	leaves := make([]heapItem, 0, len(a.nodes))
-	for i := range a.nodes {
-		if i == 0 || a.nodes[i].parent == deadParent || !a.isLeaf(int32(i)) {
-			continue
-		}
-		leaves = append(leaves, heapItem{ref: int32(i), sseg: a.sseg(int32(i))})
-	}
-	return leaves
-}
-
-func arenaMarginalSSEG(a *arena) (sseg float64, count int64, ok bool) {
-	best := int32(-1)
-	bestKey := math.Inf(1)
-	for _, it := range removableLeaves(a) {
-		if it.sseg < bestKey {
-			best, bestKey = it.ref, it.sseg
-		}
-	}
-	if best < 0 {
-		return 0, 0, false
-	}
-	return bestKey, a.nodes[best].count, true
-}
-
 func arenaShrinkLoss(a *arena, nodeBytes int, inserts int64, bytes int) float64 {
 	if inserts <= 0 || bytes <= 0 {
 		return 0
 	}
-	leaves := removableLeaves(a)
-	if len(leaves) == 0 {
-		return 0
-	}
-	// Ascending SSEG with slot-order tie-break: the same victims, in the
-	// same order, the compression heap would pop first.
-	sort.Slice(leaves, func(i, j int) bool {
-		if leaves[i].sseg != leaves[j].sseg { //lint:ignore floatguard exact key equality only routes the deterministic slot-order tie-break
-			return leaves[i].sseg < leaves[j].sseg
-		}
-		return leaves[i].ref < leaves[j].ref
-	})
 	k := (bytes + nodeBytes - 1) / nodeBytes
-	if k > len(leaves) {
-		k = len(leaves)
+	h, _ := firstLeaves(a, &victimKey{a: a}, k, make([]victim, 0, min(k, len(a.nodes))))
+	// Heap-sort the max-heap in place, so the victims are summed in
+	// ascending victim order.
+	for n := len(h.v) - 1; n > 0; n-- {
+		h.v[0], h.v[n] = h.v[n], h.v[0]
+		h.down(0, n)
 	}
 	var loss float64
-	for _, it := range leaves[:k] {
-		loss += math.Sqrt(it.sseg*float64(a.nodes[it.ref].count)) / float64(inserts)
+	for _, c := range h.v {
+		loss += math.Sqrt(c.key*float64(a.nodes[c.ref].count)) / float64(inserts)
 	}
 	return loss
 }

@@ -210,18 +210,11 @@ func TestResizeSerializeRoundTrip(t *testing.T) {
 
 func TestMarginalEconomics(t *testing.T) {
 	empty := mustTree(t, unitCfg(2))
-	if _, _, ok := empty.MarginalSSEG(); ok {
-		t.Error("root-only tree reported a removable leaf")
-	}
 	if loss := empty.ShrinkLoss(10 * DefaultNodeBytes); loss != 0 {
 		t.Errorf("root-only shrink loss %g, want 0", loss)
 	}
 
 	tr := buildTrained(t, 51)
-	sseg, count, ok := tr.MarginalSSEG()
-	if !ok || sseg < 0 || count < 1 {
-		t.Fatalf("marginal leaf sseg=%g count=%d ok=%v", sseg, count, ok)
-	}
 	if tr.ShrinkLoss(0) != 0 {
 		t.Error("zero-byte shrink has non-zero loss")
 	}
@@ -231,9 +224,6 @@ func TestMarginalEconomics(t *testing.T) {
 		t.Errorf("shrink loss not monotone: %g then %g", small, large)
 	}
 	snap := tr.Snapshot()
-	if s2, c2, ok2 := snap.MarginalSSEG(); s2 != sseg || c2 != count || ok2 != ok {
-		t.Error("snapshot marginal leaf differs from tree's")
-	}
 	if snap.ShrinkLoss(20*DefaultNodeBytes) != large {
 		t.Error("snapshot shrink loss differs from tree's")
 	}
