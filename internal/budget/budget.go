@@ -4,8 +4,8 @@
 // what its cheapest bytes are currently buying (Loss) and what one more
 // step of bytes would earn (Gain), both in the workload's cost units per
 // cycle; the Arbiter moves a bounded step from the lowest-marginal-value
-// holder to the highest, with hysteresis, a cooldown, and a reversal guard
-// so measurement noise cannot make the wall oscillate. Everything is
+// holder to the highest, with hysteresis and a reversal guard so
+// measurement noise cannot make the wall oscillate. Everything is
 // deterministic and clock-free: marginals come from counter deltas between
 // cycles, never from wall time.
 package budget
@@ -40,8 +40,7 @@ type Holder interface {
 	FloorBytes() int
 	// Tick consumes the telemetry accumulated since the previous Tick and
 	// prices stepBytes of budget at the margin. Called exactly once per
-	// arbitration cycle, including cooldown cycles, so deltas stay
-	// per-cycle.
+	// arbitration cycle, so deltas stay per-cycle.
 	Tick(stepBytes int) Marginal
 	// SetBudget regrants the holder's budget. The Arbiter only calls it
 	// with values >= FloorBytes.
@@ -55,9 +54,6 @@ const (
 	// DefaultHysteresis is the fraction by which the recipient's gain must
 	// exceed the donor's loss before a move happens.
 	DefaultHysteresis = 0.25
-	// DefaultCooldown is how many cycles the arbiter sits out after a move,
-	// letting the holders' counters re-equilibrate at the new split.
-	DefaultCooldown = 1
 	// DefaultReversalGuard is how many cycles after a move the exact reverse
 	// transfer stays blocked. Hysteresis bounds how big a marginal gap must
 	// be; the guard bounds how often the same bytes may change direction, so
@@ -76,9 +72,6 @@ type Config struct {
 	// gain > loss*(1+Hysteresis). Zero means DefaultHysteresis; negative
 	// disables hysteresis entirely.
 	Hysteresis float64
-	// Cooldown is how many cycles to skip after a move. Zero means
-	// DefaultCooldown; negative disables the cooldown.
-	Cooldown int
 	// ReversalGuard blocks the exact reverse of the most recent move for
 	// this many cycles after it happens. Zero means DefaultReversalGuard;
 	// negative disables the guard. Moves in the same direction, or between
@@ -101,16 +94,6 @@ func (c Config) hysteresis() float64 {
 		return c.Hysteresis
 	}
 	return DefaultHysteresis
-}
-
-func (c Config) cooldown() int {
-	if c.Cooldown < 0 {
-		return 0
-	}
-	if c.Cooldown == 0 {
-		return DefaultCooldown
-	}
-	return c.Cooldown
 }
 
 func (c Config) reversalGuard() int {
@@ -143,7 +126,6 @@ type Arbiter struct {
 	holders []Holder
 	last    []Marginal // marginals from the most recent cycle, holder-aligned
 
-	cooldown int
 	// lastFrom/lastTo are holder indices of the most recent move; the
 	// reverse transfer is blocked while cycles <= guardUntil.
 	lastFrom, lastTo int
@@ -198,12 +180,6 @@ func (a *Arbiter) Cycle() (Move, error) {
 	for i, h := range a.holders {
 		a.last[i] = h.Tick(step)
 	}
-	if a.cooldown > 0 {
-		a.cooldown--
-		a.publish()
-		return Move{}, nil
-	}
-
 	// Recipient: highest marginal gain (first wins on ties — holder order
 	// is the deterministic tie-break).
 	rec := 0
@@ -270,7 +246,6 @@ func (a *Arbiter) Cycle() (Move, error) {
 
 	a.moves++
 	a.bytesMoved += int64(give)
-	a.cooldown = a.cfg.cooldown()
 	a.lastFrom, a.lastTo = don, rec
 	a.guardUntil = a.cycles + int64(a.cfg.reversalGuard())
 	a.publish()

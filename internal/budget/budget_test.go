@@ -71,7 +71,7 @@ func TestNewValidation(t *testing.T) {
 func TestCycleMovesTowardHighestGain(t *testing.T) {
 	hungry := &fakeHolder{name: "model", budget: 8192, floor: 1024, margin: Marginal{Gain: 5, Loss: 5}}
 	idle := &fakeHolder{name: "cache", budget: 8192, floor: 1024, margin: Marginal{}}
-	a, err := New(Config{StepBytes: 2048, Cooldown: -1}, hungry, idle)
+	a, err := New(Config{StepBytes: 2048}, hungry, idle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestCycleMovesTowardHighestGain(t *testing.T) {
 func TestCycleStepBoundedByDonorHeadroom(t *testing.T) {
 	hungry := &fakeHolder{name: "a", budget: 4096, floor: 512, margin: Marginal{Gain: 9, Loss: 9}}
 	donor := &fakeHolder{name: "b", budget: 1024, floor: 512, margin: Marginal{}}
-	a, err := New(Config{StepBytes: 4096, Cooldown: -1}, hungry, donor)
+	a, err := New(Config{StepBytes: 4096}, hungry, donor)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,35 +133,12 @@ func TestHysteresisBlocksMarginalMoves(t *testing.T) {
 		t.Errorf("move %+v err %v through a 1.0-vs-0.9 gap under hysteresis", mv, err)
 	}
 	ha, hb = mk()
-	a, err = New(Config{StepBytes: 1024, Hysteresis: -1, Cooldown: -1}, ha, hb)
+	a, err = New(Config{StepBytes: 1024, Hysteresis: -1}, ha, hb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mv, err := a.Cycle(); err != nil || !mv.Moved() {
 		t.Errorf("move %+v err %v, want a move with hysteresis disabled", mv, err)
-	}
-}
-
-func TestCooldownSkipsCyclesButStillTicks(t *testing.T) {
-	hungry := &fakeHolder{name: "a", budget: 4096, floor: 512, margin: Marginal{Gain: 9, Loss: 9}}
-	donor := &fakeHolder{name: "b", budget: 65536, floor: 512, margin: Marginal{}}
-	a, err := New(Config{StepBytes: 1024, Cooldown: 2}, hungry, donor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mv, _ := a.Cycle(); !mv.Moved() {
-		t.Fatal("first cycle should move")
-	}
-	for i := 0; i < 2; i++ {
-		if mv, _ := a.Cycle(); mv.Moved() {
-			t.Fatalf("cooldown cycle %d moved", i)
-		}
-	}
-	if mv, _ := a.Cycle(); !mv.Moved() {
-		t.Error("cycle after cooldown should move again")
-	}
-	if hungry.ticks != 4 || donor.ticks != 4 {
-		t.Errorf("ticks %d/%d, want 4/4 — cooldown cycles must still consume deltas", hungry.ticks, donor.ticks)
 	}
 }
 
@@ -188,7 +165,7 @@ func TestConservationUnderChurn(t *testing.T) {
 	ha := &fakeHolder{name: "a", budget: 16384, floor: 1024}
 	hb := &fakeHolder{name: "b", budget: 16384, floor: 1024}
 	hc := &fakeHolder{name: "c", budget: 16384, floor: 1024}
-	a, err := New(Config{StepBytes: 2048, Cooldown: -1}, ha, hb, hc)
+	a, err := New(Config{StepBytes: 2048}, ha, hb, hc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +213,7 @@ func TestGrowFailureRollsBackDonor(t *testing.T) {
 func TestStatsAndTelemetry(t *testing.T) {
 	hungry := &fakeHolder{name: "model", budget: 8192, floor: 1024, margin: Marginal{Gain: 5, Loss: 5}}
 	idle := &fakeHolder{name: "cache", budget: 8192, floor: 1024, margin: Marginal{}}
-	a, err := New(Config{StepBytes: 2048, Cooldown: -1}, hungry, idle)
+	a, err := New(Config{StepBytes: 2048}, hungry, idle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +417,7 @@ func TestArbiterOverRealHolders(t *testing.T) {
 	c := newCache(t, 64, 32)
 	mh := NewModelHolder("model", m, 0)
 	ch := NewCacheHolder("cache", c, 2)
-	a, err := New(Config{StepBytes: 2 * quadtree.DefaultNodeBytes, Cooldown: -1}, mh, ch)
+	a, err := New(Config{StepBytes: 2 * quadtree.DefaultNodeBytes}, mh, ch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +459,7 @@ func TestArbiterOverRealHolders(t *testing.T) {
 func TestReversalGuardBlocksPingPong(t *testing.T) {
 	a := &fakeHolder{name: "a", budget: 8192, floor: 0, margin: Marginal{Gain: 5, Loss: 5}}
 	b := &fakeHolder{name: "b", budget: 8192, floor: 0, margin: Marginal{}}
-	arb, err := New(Config{StepBytes: 1024, Cooldown: -1, Hysteresis: -1, ReversalGuard: 3}, a, b)
+	arb, err := New(Config{StepBytes: 1024, Hysteresis: -1, ReversalGuard: 3}, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,7 +496,7 @@ func TestReversalGuardBlocksPingPong(t *testing.T) {
 func TestReversalGuardAllowsSameDirection(t *testing.T) {
 	a := &fakeHolder{name: "a", budget: 8192, floor: 0, margin: Marginal{Gain: 5, Loss: 5}}
 	b := &fakeHolder{name: "b", budget: 8192, floor: 0, margin: Marginal{}}
-	arb, err := New(Config{StepBytes: 1024, Cooldown: -1, Hysteresis: -1, ReversalGuard: 100}, a, b)
+	arb, err := New(Config{StepBytes: 1024, Hysteresis: -1, ReversalGuard: 100}, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,7 +514,7 @@ func TestReversalGuardAllowsSameDirection(t *testing.T) {
 func TestReversalGuardDisabled(t *testing.T) {
 	a := &fakeHolder{name: "a", budget: 8192, floor: 0, margin: Marginal{Gain: 5, Loss: 5}}
 	b := &fakeHolder{name: "b", budget: 8192, floor: 0, margin: Marginal{}}
-	arb, err := New(Config{StepBytes: 1024, Cooldown: -1, Hysteresis: -1, ReversalGuard: -1}, a, b)
+	arb, err := New(Config{StepBytes: 1024, Hysteresis: -1, ReversalGuard: -1}, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mlq/internal/events"
 	"mlq/internal/geom"
@@ -15,55 +14,9 @@ import (
 	"mlq/internal/telemetry"
 )
 
-// Typed Publisher errors, so callers can distinguish backpressure outcomes
-// from validation failures with errors.Is and react per policy.
-var (
-	// ErrPublisherClosed reports an Observe or Flush against a Publisher
-	// whose Close has begun. The observation was not accepted.
-	ErrPublisherClosed = errors.New("core: publisher is closed")
-	// ErrQueueFull reports an Observe shed by the Reject overflow policy
-	// because the ingest queue was at capacity. The observation was not
-	// accepted; the caller may retry, downsample, or drop.
-	ErrQueueFull = errors.New("core: publisher queue is full")
-	// ErrObserveTimeout reports a blocking Observe abandoned by the
-	// per-Observe deadline before queue space appeared. The observation was
-	// not accepted.
-	ErrObserveTimeout = errors.New("core: observe deadline exceeded")
-)
-
-// OverflowPolicy decides what Observe does when the ingest queue is full.
-// The choice trades the three things a saturated feedback loop can sacrifice:
-// caller latency (Block), oldest data (DropOldest), or newest data (Reject).
-type OverflowPolicy int
-
-const (
-	// OverflowBlock makes Observe wait for queue space (bounded by the
-	// per-Observe deadline, if one is configured). No observation is lost;
-	// staleness stays <= QueueCapacity + MaxBatch. The default.
-	OverflowBlock OverflowPolicy = iota
-	// OverflowDropOldest evicts the oldest queued observation to admit the
-	// new one. Observe never blocks; the model prefers fresh feedback and
-	// Stats().Dropped counts the sacrifice.
-	OverflowDropOldest
-	// OverflowReject sheds the new observation with ErrQueueFull. Observe
-	// never blocks and the queue's contents are never sacrificed; the
-	// caller decides what to do with the rejected observation.
-	OverflowReject
-)
-
-// String names the policy for flags and telemetry.
-func (p OverflowPolicy) String() string {
-	switch p {
-	case OverflowBlock:
-		return "block"
-	case OverflowDropOldest:
-		return "drop-oldest"
-	case OverflowReject:
-		return "reject"
-	default:
-		return fmt.Sprintf("OverflowPolicy(%d)", int(p))
-	}
-}
+// ErrPublisherClosed reports an Observe or Flush against a Publisher whose
+// Close has begun. The observation was not accepted.
+var ErrPublisherClosed = errors.New("core: publisher is closed")
 
 // Publisher turns a single-threaded MLQ tree into a concurrency-safe Model
 // using epoch/snapshot publishing instead of a lock:
@@ -71,10 +24,10 @@ func (p OverflowPolicy) String() string {
 //   - Predict loads the current immutable quadtree.Snapshot through one
 //     atomic pointer read and descends it with zero locks — any number of
 //     optimizer threads predict in parallel and never contend with learning;
-//   - Observe enqueues the observation on a bounded channel and returns; a
-//     single writer goroutine drains the queue in batches, applies each batch
-//     to the live tree, and publishes a fresh snapshot (a new epoch) when the
-//     batch is done.
+//   - Observe enqueues the observation on a bounded channel (waiting for
+//     space when it is full) and returns; a single writer goroutine drains
+//     the queue in batches, applies each batch to the live tree, and
+//     publishes a fresh snapshot (a new epoch) when the batch is done.
 //
 // The price is bounded staleness: a prediction may miss observations that
 // are still queued or inside the writer's current batch — at most
@@ -89,34 +42,28 @@ func (p OverflowPolicy) String() string {
 type Publisher struct {
 	cur atomic.Pointer[epochState]
 
-	// queue carries observations to the writer goroutine; stop tells
-	// Observe the publisher is closed.
+	// queue carries observations to the writer goroutine; stop tells the
+	// writer to drain and exit.
 	queue chan observation
 	stop  chan struct{}
 
 	submitted atomic.Int64 // observations accepted by Observe
 	applied   atomic.Int64 // observations folded into a published snapshot
-	dropped   atomic.Int64 // accepted observations evicted by DropOldest
-	rejected  atomic.Int64 // observations shed by Reject (never accepted)
-	timeouts  atomic.Int64 // blocking Observes abandoned by the deadline
 
 	region   geom.Rect // frozen copy for synchronous Observe validation
 	name     string
 	maxBatch int
 
-	overflow   OverflowPolicy
-	obsTimeout time.Duration // bounds a blocking Observe; 0 = wait forever
-
 	// jmu serializes the accepted-observation pipeline across observers:
-	// sequence assignment, the journal append, and the subscriber fan-out
-	// happen as one critical section, so every consumer of the accepted
-	// stream (the journal, replication subscribers) sees the identical
-	// order. With a single ingress (or externally serialized Observes) that
-	// order is also the writer's apply order; concurrent unserialized
-	// observers may be applied in a different interleaving than they were
-	// journaled, which batching preserves but replication fences out by
-	// serializing at the group boundary (see internal/replica).
+	// the enqueue, sequence assignment, the journal append and the
+	// subscriber fan-out happen as one critical section, so the writer's
+	// apply order, the journal and every replication subscriber see the
+	// identical order however many goroutines observe. Close sets closed,
+	// then takes jmu once before it stops the writer, so an Observe either
+	// enqueues ahead of the writer's final drain or reports the publisher
+	// closed.
 	jmu         sync.Mutex
+	closed      atomic.Bool
 	seq         uint64        // accepted-observation sequence, 1-based
 	subs        []*subscriber // accepted-observation fan-out hooks
 	journal     *journal.Journal
@@ -126,8 +73,6 @@ type Publisher struct {
 	events *events.Recorder // causal event spine; nil = recording off
 
 	onPublish atomic.Pointer[func(epoch uint64, applied int64)]
-
-	admit chan struct{} // test-only writer gate; nil in production
 
 	writerDone chan struct{}
 	flushReq   chan flushRequest
@@ -185,15 +130,6 @@ type PublisherConfig struct {
 	// MaxBatch bounds how many queued observations the writer folds into
 	// the tree before it must publish a fresh snapshot. Default 64.
 	MaxBatch int
-	// Overflow selects what Observe does when the queue is full. Default
-	// OverflowBlock (the pre-policy behavior).
-	Overflow OverflowPolicy
-	// ObserveTimeout bounds how long a blocking Observe (OverflowBlock)
-	// waits for queue space before failing with ErrObserveTimeout. Zero
-	// means wait until space appears or the publisher closes. The timer is
-	// armed only on the full-queue path, so an unsaturated loop never
-	// touches the clock.
-	ObserveTimeout time.Duration
 	// Journal, when non-nil, receives every accepted observation before it
 	// is applied, making the feedback loop crash-safe: after a kill,
 	// ReplayJournal feeds the surviving prefix into a fresh model. Append
@@ -222,21 +158,8 @@ func (c PublisherConfig) withDefaults() PublisherConfig {
 // m (or its tree) again except through the Publisher. Close releases the
 // writer goroutine and hands the tree back.
 func NewPublisher(m *MLQ, cfg PublisherConfig) (*Publisher, error) {
-	return newPublisherGated(m, cfg, nil)
-}
-
-// newPublisherGated is the test seam behind NewPublisher: when admit is
-// non-nil the writer consumes one token from it per loop iteration, letting
-// tests hold the queue saturated deterministically while they probe the
-// overflow policies. Production always passes nil.
-func newPublisherGated(m *MLQ, cfg PublisherConfig, admit chan struct{}) (*Publisher, error) {
 	if m == nil {
 		return nil, fmt.Errorf("core: NewPublisher requires a model")
-	}
-	switch cfg.Overflow {
-	case OverflowBlock, OverflowDropOldest, OverflowReject:
-	default:
-		return nil, fmt.Errorf("core: unknown overflow policy %d", int(cfg.Overflow))
 	}
 	cfg = cfg.withDefaults()
 	pub := &Publisher{
@@ -245,14 +168,11 @@ func newPublisherGated(m *MLQ, cfg PublisherConfig, admit chan struct{}) (*Publi
 		region:     m.tree.Config().Region.Clone(),
 		name:       m.Name(),
 		maxBatch:   cfg.MaxBatch,
-		overflow:   cfg.Overflow,
-		obsTimeout: cfg.ObserveTimeout,
 		journal:    cfg.Journal,
 		events:     cfg.Events,
 		writerDone: make(chan struct{}),
 		flushReq:   make(chan flushRequest),
 		resizeReq:  make(chan resizeRequest),
-		admit:      admit,
 	}
 	pub.cur.Store(&epochState{snap: m.tree.Snapshot(), epoch: 0})
 	go pub.writer(m)
@@ -272,9 +192,10 @@ func (pub *Publisher) PredictBeta(p geom.Point, beta int) (float64, bool) {
 
 // Observe implements Model: it validates the observation synchronously
 // (dimension and finiteness errors are the caller's, not the writer's) and
-// enqueues it for the writer goroutine. What happens when the queue is full
-// depends on the configured OverflowPolicy; Observe returns
-// ErrPublisherClosed without enqueuing once Close has begun.
+// enqueues it for the writer goroutine, waiting for queue space when the
+// queue is full. Once Close has begun Observe returns ErrPublisherClosed
+// without enqueuing; a nil return means the observation is in the queue
+// ahead of Close's final drain, so it reaches the model.
 func (pub *Publisher) Observe(p geom.Point, actual float64) error {
 	if len(p) != pub.region.Dims() {
 		return fmt.Errorf("core: observation has %d dims, model has %d", len(p), pub.region.Dims())
@@ -292,85 +213,7 @@ func (pub *Publisher) Observe(p geom.Point, actual float64) error {
 		cause:  pub.events.MintID(),
 		mint:   pub.events.Now(),
 	}
-	select {
-	case <-pub.stop:
-		return ErrPublisherClosed
-	default:
-	}
-
-	switch pub.overflow {
-	case OverflowReject:
-		select {
-		case pub.queue <- o:
-		default:
-			pub.rejected.Add(1)
-			if tel := pub.tel.Load(); tel != nil {
-				tel.rejected.Inc()
-			}
-			return ErrQueueFull
-		}
-	case OverflowDropOldest:
-		for enqueued := false; !enqueued; {
-			select {
-			case pub.queue <- o:
-				enqueued = true
-			default:
-				// Full: evict the oldest queued observation and try again.
-				// The inner select races the eviction against the writer
-				// freeing a slot itself, so we never evict more than needed.
-				select {
-				case <-pub.queue:
-					pub.dropped.Add(1)
-					if tel := pub.tel.Load(); tel != nil {
-						tel.dropped.Inc()
-					}
-				case pub.queue <- o:
-					enqueued = true
-				case <-pub.stop:
-					return ErrPublisherClosed
-				}
-			}
-		}
-	default: // OverflowBlock
-		if err := pub.blockingEnqueue(o); err != nil {
-			return err
-		}
-	}
-
-	pub.accepted(o)
-	return nil
-}
-
-// blockingEnqueue waits for queue space, bounded by the per-Observe deadline
-// when one is configured. The fast path (queue has room) never arms a timer.
-func (pub *Publisher) blockingEnqueue(o observation) error {
-	select {
-	case pub.queue <- o:
-		return nil
-	default:
-	}
-	if pub.obsTimeout <= 0 {
-		select {
-		case pub.queue <- o:
-			return nil
-		case <-pub.stop:
-			return ErrPublisherClosed
-		}
-	}
-	timer := time.NewTimer(pub.obsTimeout)
-	defer timer.Stop()
-	select {
-	case pub.queue <- o:
-		return nil
-	case <-timer.C:
-		pub.timeouts.Add(1)
-		if tel := pub.tel.Load(); tel != nil {
-			tel.timeouts.Inc()
-		}
-		return fmt.Errorf("%w: queue full for %v", ErrObserveTimeout, pub.obsTimeout)
-	case <-pub.stop:
-		return ErrPublisherClosed
-	}
+	return pub.accept(o)
 }
 
 // Accepted describes one observation the publisher accepted, as delivered
@@ -392,17 +235,23 @@ type subscriber struct {
 	fn func(acc Accepted)
 }
 
-// accepted performs the post-enqueue bookkeeping for an accepted
-// observation: counters, telemetry, the crash-safety journal, the
-// subscriber fan-out, and the observe/journal hops on the event spine.
-// Sequence assignment, journal append and fan-out share one critical
-// section (see jmu) so all consumers agree on the order.
-func (pub *Publisher) accepted(o observation) {
+// accept enqueues an observation and performs its bookkeeping: counters,
+// telemetry, the crash-safety journal, the subscriber fan-out, and the
+// observe/journal hops on the event spine. The enqueue, sequence
+// assignment, journal append and fan-out share one critical section (see
+// jmu) so all consumers agree on the order.
+func (pub *Publisher) accept(o observation) error {
+	pub.jmu.Lock()
+	if pub.closed.Load() {
+		pub.jmu.Unlock()
+		return ErrPublisherClosed
+	}
+	//lint:ignore chanowner the writer drains the queue until Close stops it, and Close waits for jmu first, so this send always completes
+	pub.queue <- o
 	pub.submitted.Add(1)
 	if tel := pub.tel.Load(); tel != nil {
 		tel.submitted.Inc()
 	}
-	pub.jmu.Lock()
 	pub.seq++
 	seq := pub.seq
 	var jerr error
@@ -416,7 +265,7 @@ func (pub *Publisher) accepted(o observation) {
 	pub.jmu.Unlock()
 	pub.events.EmitHop(events.SubCore, events.KindObserve, o.cause, o.mint, 0, seq)
 	if pub.journal == nil {
-		return
+		return nil
 	}
 	if jerr != nil {
 		// Journaling degrades gracefully: a full or failing journal costs
@@ -425,13 +274,14 @@ func (pub *Publisher) accepted(o observation) {
 		if tel := pub.tel.Load(); tel != nil {
 			tel.journalErrs.Inc()
 		}
-		return
+		return nil
 	}
 	pub.journaled.Add(1)
 	if tel := pub.tel.Load(); tel != nil {
 		tel.journaled.Inc()
 	}
 	pub.events.EmitHop(events.SubJournal, events.KindJournalAppend, o.cause, o.mint, 0, seq)
+	return nil
 }
 
 // Subscribe registers fn to be called synchronously for every observation
@@ -496,10 +346,9 @@ func (pub *Publisher) Epoch() uint64 { return pub.cur.Load().epoch }
 
 // Staleness returns how many accepted observations are not yet reflected in
 // the published snapshot (queued or mid-batch). It is bounded above by
-// QueueCapacity + MaxBatch. Observations evicted by DropOldest stopped
-// being pending the moment they were dropped, so they do not count.
+// QueueCapacity + MaxBatch.
 func (pub *Publisher) Staleness() int64 {
-	s := pub.submitted.Load() - pub.applied.Load() - pub.dropped.Load()
+	s := pub.submitted.Load() - pub.applied.Load()
 	if s < 0 {
 		// Observe increments submitted after its enqueue succeeds, so a
 		// batch can be counted as applied before its submissions are; the
@@ -510,14 +359,11 @@ func (pub *Publisher) Staleness() int64 {
 }
 
 // PublisherStats is a point-in-time snapshot of the publisher's acceptance
-// and loss accounting. Submitted = Applied + Dropped + pending; Rejected and
-// Timeouts count observations that were never accepted.
+// accounting. Submitted = Applied + pending, and pending is zero after
+// Flush or Close.
 type PublisherStats struct {
 	Submitted     int64 // observations accepted by Observe
 	Applied       int64 // folded into a published snapshot
-	Dropped       int64 // accepted, then evicted by OverflowDropOldest
-	Rejected      int64 // shed by OverflowReject (not accepted)
-	Timeouts      int64 // blocking Observes abandoned by the deadline (not accepted)
 	Journaled     int64 // accepted observations persisted to the journal
 	JournalErrors int64 // journal appends that failed (full or IO error)
 }
@@ -527,9 +373,6 @@ func (pub *Publisher) Stats() PublisherStats {
 	return PublisherStats{
 		Submitted:     pub.submitted.Load(),
 		Applied:       pub.applied.Load(),
-		Dropped:       pub.dropped.Load(),
-		Rejected:      pub.rejected.Load(),
-		Timeouts:      pub.timeouts.Load(),
 		Journaled:     pub.journaled.Load(),
 		JournalErrors: pub.journalErrs.Load(),
 	}
@@ -613,6 +456,11 @@ func (pub *Publisher) Checkpoint() error {
 // final batch or report the publisher closed.
 func (pub *Publisher) Close() error {
 	pub.closeOnce.Do(func() {
+		// Once closed is set no Observe enqueues; taking jmu waits out the
+		// ones already past the check, so the final drain sees them all.
+		pub.closed.Store(true)
+		pub.jmu.Lock()
+		pub.jmu.Unlock()
 		close(pub.stop)
 		<-pub.writerDone
 		pub.closeErr = pub.drainErr()
@@ -667,42 +515,17 @@ func (pub *Publisher) writer(m *MLQ) {
 		}
 	}
 
-	// drain applies everything currently in the queue (Observe enqueues
-	// before it increments submitted, so once submitted reads N the queue
-	// already held all N) and returns when nothing accepted remains unapplied.
-	drain := func() {
-		for {
-			fill()
-			if len(batch) == 0 && pub.applied.Load()+pub.dropped.Load() >= pub.submitted.Load() {
-				return
-			}
-			apply()
-		}
-	}
-
 	for {
-		if pub.admit != nil {
-			// Test gate: hold the writer here until the test feeds a token,
-			// keeping the queue deterministically saturated. Close still
-			// drains — shutdown must not depend on the gate.
-			select {
-			case <-pub.admit:
-			case <-pub.stop:
-				drain()
-				return
-			}
-		}
 		select {
 		case o := <-pub.queue:
 			batch = append(batch, o)
 			fill()
 			apply()
 		case req := <-pub.flushReq:
-			// Everything accepted before the Flush call is already in the
-			// queue (see drain), so non-blocking fills reach the target.
-			// Dropped observations count toward it: they were accepted and
-			// are resolved, just not by applying.
-			for pub.applied.Load()+pub.dropped.Load() < req.target {
+			// Observe enqueues before it increments submitted, so everything
+			// accepted before the Flush call is already in the queue and
+			// non-blocking fills reach the target.
+			for pub.applied.Load() < req.target {
 				fill()
 				apply()
 			}
@@ -733,9 +556,13 @@ func (pub *Publisher) writer(m *MLQ) {
 			//lint:ignore chanowner req.done is a cap-1 reply slot created by Resize for exactly one reply; the send can never block
 			req.done <- err
 		case <-pub.stop:
-			// Final drain: everything accepted before Close is applied and
-			// published, so no acknowledged observation is lost.
-			drain()
+			// Final drain: Close waited out every Observe that passed the
+			// closed check before stopping the writer, so every accepted
+			// observation is already in the queue; applying it all loses
+			// none of them.
+			for fill(); len(batch) > 0; fill() {
+				apply()
+			}
 			return
 		}
 	}
@@ -806,9 +633,6 @@ type publisherTelemetry struct {
 	writerErrs *telemetry.Counter
 	resizes    *telemetry.Counter
 
-	dropped     *telemetry.Counter
-	rejected    *telemetry.Counter
-	timeouts    *telemetry.Counter
 	journaled   *telemetry.Counter
 	journalErrs *telemetry.Counter
 }
@@ -833,9 +657,6 @@ func (pub *Publisher) Instrument(reg *telemetry.Registry, labels ...telemetry.La
 		writerErrs: reg.Counter("mlq_publisher_writer_errors_total", "tree-level insert failures on the writer goroutine", labels...),
 		resizes:    reg.Counter("mlq_publisher_resizes_total", "budget changes applied through the writer goroutine", labels...),
 
-		dropped:     reg.Counter("mlq_publisher_dropped_total", "accepted observations evicted by the drop-oldest overflow policy", labels...),
-		rejected:    reg.Counter("mlq_publisher_rejected_total", "observations shed by the reject overflow policy", labels...),
-		timeouts:    reg.Counter("mlq_publisher_observe_timeouts_total", "blocking Observes abandoned by the per-Observe deadline", labels...),
 		journaled:   reg.Counter("mlq_publisher_journaled_total", "accepted observations persisted to the crash-safety journal", labels...),
 		journalErrs: reg.Counter("mlq_publisher_journal_errors_total", "journal appends that failed (journal full or IO error)", labels...),
 	})

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -98,6 +100,48 @@ func TestPublisherCloseDrainsAndRejects(t *testing.T) {
 	}
 	if err := pub.Flush(); err == nil {
 		t.Error("Flush after Close must error")
+	}
+}
+
+func TestPublisherCloseIdempotentObserveTyped(t *testing.T) {
+	pub, err := NewPublisher(publisherModel(t), PublisherConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pub.Observe(geom.Point{0.5, 0.5}, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	// Concurrent Closes must all return the same answer without panicking
+	// (double close of the stop channel was the historical hazard).
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = pub.Close()
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("concurrent Close %d returned %v", i, err)
+		}
+	}
+	if err := pub.Close(); err != nil {
+		t.Fatalf("repeat Close returned %v", err)
+	}
+
+	if err := pub.Observe(geom.Point{0.5, 0.5}, 2); !errors.Is(err, ErrPublisherClosed) {
+		t.Fatalf("Observe after Close: err %v, want ErrPublisherClosed", err)
+	}
+	if err := pub.Flush(); !errors.Is(err, ErrPublisherClosed) {
+		t.Fatalf("Flush after Close: err %v, want ErrPublisherClosed", err)
+	}
+	// Prediction against the last published snapshot must keep working.
+	if _, ok := pub.Predict(geom.Point{0.5, 0.5}); !ok {
+		t.Fatal("Predict stopped working after Close")
 	}
 }
 
@@ -249,5 +293,59 @@ func TestPublisherConcurrentObservers(t *testing.T) {
 	}
 	if got := pub.Snapshot().Inserts(); got != 4*per {
 		t.Errorf("drained %d observations, want %d", got, 4*per)
+	}
+}
+
+// TestPublisherObserveRacingClose pins the Close ordering: an Observe that
+// returns nil has been acknowledged, so it must be in the final snapshot
+// even when it raced Close. Each round lets four observers run into a Close
+// issued at a different point of the stream, then checks that every nil
+// return was applied and that Applied == Submitted.
+func TestPublisherObserveRacingClose(t *testing.T) {
+	const rounds, observers, perObserver = 2000, 4, 200
+	lost := 0
+	for r := 0; r < rounds; r++ {
+		// A 4-slot queue keeps observers waiting for space when Close
+		// arrives, so Close must also wait out an Observe blocked in the
+		// send.
+		pub, err := NewPublisher(publisherModel(t), PublisherConfig{QueueCapacity: 4, MaxBatch: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		closeAfter := int64(r % 100)
+		var acked atomic.Int64
+		var wg sync.WaitGroup
+		for g := 0; g < observers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(r*observers + g)))
+				for i := 0; i < perObserver; i++ {
+					err := pub.Observe(geom.Point{rng.Float64(), rng.Float64()}, rng.Float64())
+					if err != nil {
+						if !errors.Is(err, ErrPublisherClosed) {
+							t.Errorf("round %d: Observe: %v", r, err)
+						}
+						return
+					}
+					acked.Add(1)
+				}
+			}(g)
+		}
+		for acked.Load() < closeAfter {
+			runtime.Gosched()
+		}
+		if err := pub.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		st := pub.Stats()
+		if got := pub.Snapshot().Inserts(); got != acked.Load() || st.Applied != st.Submitted {
+			lost++
+			t.Logf("round %d: %d acknowledged, %d in the snapshot, stats %+v", r, acked.Load(), got, st)
+		}
+	}
+	if lost > 0 {
+		t.Fatalf("%d of %d rounds lost an acknowledged observation", lost, rounds)
 	}
 }

@@ -8,7 +8,6 @@ package engine
 import (
 	"fmt"
 
-	"mlq/internal/budget"
 	"mlq/internal/core"
 	"mlq/internal/events"
 	"mlq/internal/geom"
@@ -218,32 +217,6 @@ type Result struct {
 // the MeanCost/Selectivity running averages). ExecuteQuery only returns an
 // error for malformed input, never for UDF or model misbehavior.
 func ExecuteQuery(table *Table, preds []*Predicate, policy OrderPolicy) (Result, error) {
-	return executeQuery(table, preds, policy, nil)
-}
-
-// ExecuteQueryArbitrated is ExecuteQuery under the global memory wall: after
-// every `every` rows (minimum 1) the budget arbiter runs one cycle, so the
-// byte split between the predicate models and the buffer cache re-tunes
-// while the query streams. Arbitration failures are absorbed — the arbiter
-// counts them in its own stats and telemetry — keeping the promise that
-// execution only errors on malformed input.
-func ExecuteQueryArbitrated(table *Table, preds []*Predicate, policy OrderPolicy, arb *budget.Arbiter, every int) (Result, error) {
-	if arb == nil {
-		return Result{}, fmt.Errorf("engine: arbiter is required")
-	}
-	if every < 1 {
-		every = 1
-	}
-	return executeQuery(table, preds, policy, func(row int) {
-		if (row+1)%every == 0 {
-			arb.Cycle() //nolint:errcheck // absorbed by design; counted in arbiter stats
-		}
-	})
-}
-
-// executeQuery is the shared executor; rowHook, when non-nil, runs after
-// each row completes (all orderings, feedback and fault handling included).
-func executeQuery(table *Table, preds []*Predicate, policy OrderPolicy, rowHook func(rowIndex int)) (Result, error) {
 	if table == nil {
 		return Result{}, fmt.Errorf("engine: table is required")
 	}
@@ -266,7 +239,7 @@ func executeQuery(table *Table, preds []*Predicate, policy OrderPolicy, rowHook 
 		order[i] = i
 	}
 	cands := make([]optimizer.Candidate, len(preds))
-	for rowIndex, row := range table.Rows {
+	for _, row := range table.Rows {
 		if policy == OrderByRank {
 			for i, p := range preds {
 				cost := p.MeanCost()
@@ -364,9 +337,6 @@ func executeQuery(table *Table, preds []*Predicate, policy OrderPolicy, rowHook 
 		if pass {
 			res.Selected++
 			res.Rows = append(res.Rows, row)
-		}
-		if rowHook != nil {
-			rowHook(rowIndex)
 		}
 	}
 	return res, nil

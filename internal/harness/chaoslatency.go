@@ -275,13 +275,10 @@ func runChaosLatencyCell(sev float64, resilient bool, opts Options, dir string) 
 		st := s.pub.Stats()
 		cell.Pub.Submitted += st.Submitted
 		cell.Pub.Applied += st.Applied
-		cell.Pub.Dropped += st.Dropped
-		cell.Pub.Rejected += st.Rejected
-		cell.Pub.Timeouts += st.Timeouts
 		cell.Pub.Journaled += st.Journaled
 		cell.Pub.JournalErrors += st.JournalErrors
 		cell.Journaled += st.Journaled
-		if st.Applied != st.Submitted || st.Dropped+st.Rejected+st.Timeouts+st.JournalErrors != 0 {
+		if st.Applied != st.Submitted || st.JournalErrors != 0 {
 			return cell, fmt.Errorf("publisher accounting inconsistent for %s: %+v", s.u.Name(), st)
 		}
 		if err := s.jn.Close(); err != nil {
