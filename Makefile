@@ -45,8 +45,8 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The nightly full-repo race sweep: every package under the race detector
-# with a hard timeout, not just the replica/telemetry subset PR CI runs.
+# The nightly full-repo race sweep: the same packages as `race`, with a
+# hard timeout.
 race-full:
 	$(GO) test -race -timeout 10m ./...
 

@@ -321,9 +321,9 @@ func (pub *Publisher) AcceptedSeq() uint64 {
 
 // OnPublish registers fn to be called from the writer goroutine immediately
 // after each snapshot publish, with the new epoch and the cumulative count
-// of observations applied through it. Replication uses it to stream epoch
-// watermarks so followers can report their staleness in epochs. Install it
-// before the first Observe; passing nil removes the hook.
+// of observations applied through it. Replication uses it to install the
+// primary's own read view. Install it before the first Observe; passing nil
+// removes the hook.
 func (pub *Publisher) OnPublish(fn func(epoch uint64, applied int64)) {
 	if fn == nil {
 		pub.onPublish.Store(nil)

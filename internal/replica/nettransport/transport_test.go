@@ -308,9 +308,8 @@ func TestBarrierTimersReleasedOnCompletion(t *testing.T) {
 // flipped byte costs the follower the frame it lands in — or, when it hits
 // a length prefix, the rest of the connection's stream. The follower must
 // still converge, byte for byte, with the journal catch-up restoring what
-// the chunk lost. (A flip can land in an epoch watermark frame instead of
-// a record, about one run in a hundred; then nothing needs restoring, so
-// the catch-up count is logged rather than asserted.)
+// the chunk lost. Every frame of the burst is a record, so catch-up always
+// has something to restore.
 func TestTornCoalescedChunkConvergesThroughCatchUp(t *testing.T) {
 	inj := faults.New(5)
 	// Only the follower's stream connection reads through the chaos
@@ -362,6 +361,8 @@ func TestTornCoalescedChunkConvergesThroughCatchUp(t *testing.T) {
 		if rs.Applied != n {
 			t.Fatalf("r1 applied %d of %d records", rs.Applied, n)
 		}
-		t.Logf("r1 restored %d records through catch-up", rs.Catchup)
+		if rs.Catchup == 0 {
+			t.Fatal("r1 restored no records through catch-up after a damaged chunk")
+		}
 	}
 }

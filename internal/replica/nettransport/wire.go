@@ -51,7 +51,7 @@ const (
 
 // Frame kinds, the first payload byte of every frame.
 const (
-	fmMsg            = byte(1) // one replica.Msg (record / term / epoch)
+	fmMsg            = byte(1) // one replica.Msg (record / term)
 	fmBarrier        = byte(2) // drain barrier marker, u64 barrier id
 	fmHeartbeat      = byte(3) // liveness probe, u64 seq; peer echoes an ack
 	fmHeartbeatAck   = byte(4) // echo of fmHeartbeat
@@ -161,12 +161,6 @@ func encodeMsg(m replica.Msg) []byte {
 			b = appendU64(b, math.Float64bits(c))
 		}
 		return b
-	case replica.KindEpoch:
-		b := make([]byte, 0, 2+8*3)
-		b = append(b, fmMsg, byte(replica.KindEpoch))
-		b = appendU64(b, m.Term)
-		b = appendU64(b, m.Seq)
-		return appendU64(b, m.Epoch)
 	default: // KindTerm
 		b := make([]byte, 0, 2+8*2)
 		b = append(b, fmMsg, byte(replica.KindTerm))
@@ -211,16 +205,6 @@ func decodeMsg(p []byte) (replica.Msg, error) {
 			rec.Point[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[8*i : 8*i+8]))
 		}
 		return replica.Msg{Kind: replica.KindRecord, Rec: rec}, nil
-	case replica.KindEpoch:
-		if len(body) != 8*3 {
-			return replica.Msg{}, errDamagedFrame
-		}
-		return replica.Msg{
-			Kind:  replica.KindEpoch,
-			Term:  binary.LittleEndian.Uint64(body[0:8]),
-			Seq:   binary.LittleEndian.Uint64(body[8:16]),
-			Epoch: binary.LittleEndian.Uint64(body[16:24]),
-		}, nil
 	case replica.KindTerm:
 		if len(body) != 8*2 {
 			return replica.Msg{}, errDamagedFrame

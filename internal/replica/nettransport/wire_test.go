@@ -17,7 +17,6 @@ func TestMsgCodecRoundTrip(t *testing.T) {
 			Seq: 7, Term: 3, Point: geom.Point{1.5, -2.25, 1e300}, Value: 42.125, Cause: 99, MintNS: 123456789,
 		}},
 		{Kind: replica.KindRecord, Rec: replica.Record{Seq: 1, Term: 1, Point: geom.Point{}, Value: math.Inf(1)}},
-		{Kind: replica.KindEpoch, Term: 5, Seq: 1000, Epoch: 17},
 		{Kind: replica.KindTerm, Term: 6, Seq: 2000},
 	}
 	for i, m := range msgs {
@@ -26,7 +25,7 @@ func TestMsgCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("msg %d: decode: %v", i, err)
 		}
-		if got.Kind != m.Kind || got.Term != m.Term || got.Seq != m.Seq || got.Epoch != m.Epoch {
+		if got.Kind != m.Kind || got.Term != m.Term || got.Seq != m.Seq {
 			t.Fatalf("msg %d: control fields drifted: got %+v want %+v", i, got, m)
 		}
 		if m.Kind == replica.KindRecord {
@@ -109,7 +108,8 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(encodeMsg(replica.Msg{Kind: replica.KindRecord, Rec: replica.Record{
 		Seq: 1, Term: 1, Point: geom.Point{3.5, -1}, Value: 2, Cause: 4, MintNS: 5,
 	}}))
-	f.Add(encodeMsg(replica.Msg{Kind: replica.KindEpoch, Term: 2, Seq: 3, Epoch: 4}))
+	// An unknown message kind (2) is damage, never a Msg.
+	f.Add(append([]byte{fmMsg, 2}, make([]byte, 8*3)...))
 	f.Add(encodeMsg(replica.Msg{Kind: replica.KindTerm, Term: 9, Seq: 8}))
 	f.Add([]byte{fmMsg})
 	f.Add([]byte{})

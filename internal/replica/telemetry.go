@@ -9,7 +9,7 @@ import (
 // GroupTelemetry mirrors a replica group's health into a telemetry
 // registry under the mlq_replica_* namespace:
 //
-//	mlq_replica_lag_epochs{replica}      gauge   primary publish epochs a follower has not fully applied
+//	mlq_replica_lag_records{replica}     gauge   acknowledged observations the replica's view does not cover yet
 //	mlq_replica_applied_records{replica} counter records folded into a follower's model
 //	mlq_replica_catchup_records{replica} counter records recovered via journal catch-up or checkpoint resync
 //	mlq_replica_failovers                counter completed failovers
@@ -26,7 +26,6 @@ type GroupTelemetry struct {
 	fencedRecords *telemetry.Counter
 
 	mu       sync.Mutex
-	lagG     map[string]*telemetry.Gauge
 	appliedC map[string]*telemetry.Counter
 	catchupC map[string]*telemetry.Counter
 }
@@ -42,7 +41,6 @@ func NewGroupTelemetry(reg *telemetry.Registry) *GroupTelemetry {
 		failovers:     reg.Counter("mlq_replica_failovers", "completed primary failovers"),
 		fencedWrites:  reg.Counter("mlq_replica_fenced_writes", "writes rejected by term fencing"),
 		fencedRecords: reg.Counter("mlq_replica_fenced_records", "stale-lineage stream records dropped by followers"),
-		lagG:          make(map[string]*telemetry.Gauge),
 		appliedC:      make(map[string]*telemetry.Counter),
 		catchupC:      make(map[string]*telemetry.Counter),
 	}
@@ -54,18 +52,11 @@ func (t *GroupTelemetry) register(g *Group) {
 	defer t.mu.Unlock()
 	for _, id := range g.ids {
 		l := telemetry.L("replica", id)
-		t.lagG[id] = t.reg.Gauge("mlq_replica_lag_epochs", "primary publish epochs not yet fully applied", l)
+		n := g.nodes[id]
+		t.reg.GaugeFunc("mlq_replica_lag_records", "acknowledged observations the replica's view does not cover yet",
+			func() float64 { return float64(g.lagRecords(n)) }, l)
 		t.appliedC[id] = t.reg.Counter("mlq_replica_applied_records", "records folded into the replica's model", l)
 		t.catchupC[id] = t.reg.Counter("mlq_replica_catchup_records", "records recovered via journal catch-up or checkpoint resync", l)
-	}
-}
-
-func (t *GroupTelemetry) lag(id string, v uint64) {
-	t.mu.Lock()
-	g := t.lagG[id]
-	t.mu.Unlock()
-	if g != nil {
-		g.SetInt(int64(v))
 	}
 }
 
