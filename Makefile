@@ -69,7 +69,9 @@ bench-concurrency:
 # The global memory wall: the migrating-hot-set experiment (the arbiter
 # must beat every static model/cache split of one budget — MemWall errors
 # otherwise), race coverage of the arbiter and the resizable cache, and
-# the predict-path pin proving live Resize costs the hot path nothing.
+# the allocation pins: Predict (live Resize costs the hot path nothing)
+# and a non-compressing Insert allocate nothing, and a compression pass
+# allocates only when the kids slice regrows.
 memwall:
 	$(GO) run ./cmd/mlqbench -exp memwall
 	$(GO) test -race ./internal/budget/ ./internal/buffercache/

@@ -442,7 +442,9 @@ func newPredictPublisher(tb testing.TB, pts []geom.Point, rec *events.Recorder) 
 // BenchmarkCompress times one compression pass over a tree at its budget,
 // in the two shapes perfbench runs: ~16 KiB, where a pass evicts one node,
 // and ~1 MiB (~52k nodes), where it evicts 53. Each iteration compresses a
-// fresh clone of the same tree, so every pass does the same work.
+// fresh clone of the same tree, so every pass does the same work — and
+// since a clone carries no victim set, every pass is the full rescan. The
+// carried set's cost shows in BenchmarkInsertAtBudget.
 func BenchmarkCompress(b *testing.B) {
 	pts := randPoints(1<<16, 9)
 	for _, c := range []struct {
@@ -462,6 +464,36 @@ func BenchmarkCompress(b *testing.B) {
 				b.StartTimer()
 				clone.Compress()
 			}
+		})
+	}
+}
+
+// BenchmarkInsertAtBudget times steady-state inserts into a lazy tree
+// already at its budget, at ~16 KiB (a pass every few inserts, evicting
+// one node) and ~1 MiB (~52k nodes, 53 victims a pass): the insertion
+// cost plus its amortized share of compression, with the victim set
+// carried between passes as it is in a running model. passes/op is the
+// compression passes per insert.
+func BenchmarkInsertAtBudget(b *testing.B) {
+	pts := randPoints(1<<16, 9)
+	for _, c := range []struct {
+		name  string
+		bytes int
+	}{{"16KiB", 16 << 10}, {"1MiB", 1 << 20}} {
+		b.Run(c.name, func(b *testing.B) {
+			t := newBenchTree(b, quadtree.Lazy, c.bytes/quadtree.DefaultNodeBytes)
+			j := 0
+			for ; t.Compressions() < 64; j++ {
+				t.Insert(pts[j%len(pts)], float64(j%10000))
+			}
+			passes := t.Compressions()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t.Insert(pts[j%len(pts)], float64(j%10000))
+				j++
+			}
+			b.ReportMetric(float64(t.Compressions()-passes)/float64(b.N), "passes/op")
 		})
 	}
 }

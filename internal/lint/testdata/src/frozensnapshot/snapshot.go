@@ -39,6 +39,11 @@ func (a *arena) add(n int32, v float64) {
 	a.nodes[n].count++
 }
 
+// release puts a slot on the free list, as compression's eviction does.
+func (a *arena) release(n int32) {
+	a.nodes[n] = node{}
+}
+
 // Snapshot mirrors the real immutable snapshot: arena by value plus frozen
 // counters.
 type Snapshot struct {
@@ -66,6 +71,7 @@ func mutateWhole(s *Snapshot) {
 func mutateViaArenaMethod(s *Snapshot) {
 	s.a.addChild(0, 1) // want "mutating arena method"
 	s.a.add(0, 3.5)    // want "mutating arena method"
+	s.a.release(1)     // want "mutating arena method"
 }
 
 // readsAreFine: lookups, field reads, and rebinding the variable itself are

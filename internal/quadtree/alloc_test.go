@@ -82,11 +82,11 @@ func TestZeroAllocs(t *testing.T) {
 }
 
 // TestCompressAllocs pins the compression pass's allocations at a 16 KiB
-// budget, where each pass evicts one node: a compressing Insert allocates
-// once, for the compaction's remap table. The victim heap lives on the
-// pass's stack. The kids slice regrows now and then past the spare room
-// compactKids leaves (6 to 8 times in these 500 passes), so 2% is allowed
-// on top.
+// budget, where each pass evicts one node: a pass itself allocates
+// nothing. The victim set it carries to the next pass was allocated by the
+// first one, and evicted slots go on the free list instead of into a
+// compaction's remap table. What remains is the kids slice growing past
+// the spare room compactKids leaves: 13 regrowths in these 500 passes.
 func TestCompressAllocs(t *testing.T) {
 	pts := allocPoints(4096, 4, 3)
 	tr := mustTree(t, Config{Region: cubeRegion(4, 1000), Strategy: Lazy, MemoryLimit: 16 << 10})
@@ -103,13 +103,13 @@ func TestCompressAllocs(t *testing.T) {
 		untilPass()
 	}
 	// One run of 500 passes, so the count is exact, not rounded down.
-	const passes = 500
+	const passes, regrowths = 500, 13
 	if n := testing.AllocsPerRun(1, func() {
 		for j := 0; j < passes; j++ {
 			untilPass()
 		}
-	}); n > passes+passes/50 {
-		t.Errorf("%d compressing Inserts allocate %v times, want at most %d (one remap table each, 2%% regrowth)", passes, n, passes+passes/50)
+	}); n > regrowths {
+		t.Errorf("%d compressing Inserts allocate %v times, want at most the %d kids-slice regrowths", passes, n, regrowths)
 	}
 }
 

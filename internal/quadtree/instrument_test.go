@@ -127,3 +127,44 @@ func TestInstrumentUnlabelled(t *testing.T) {
 		t.Errorf("compress span count = %d, compressions = %d", got, tr.Compressions())
 	}
 }
+
+// TestSSEGQueueDepthCountsLeaves drives a mix of inserts, explicit passes
+// and Resizes, and before every explicit pass counts the non-root leaves by
+// walking the tree: the pass must report exactly that many competitors,
+// on the tree and on its gauge.
+func TestSSEGQueueDepthCountsLeaves(t *testing.T) {
+	tr := mustTree(t, Config{Region: geom.UnitCube(2), Strategy: Lazy, MemoryLimit: 120 * DefaultNodeBytes})
+	reg := telemetry.New()
+	tr.Instrument(reg)
+	gauge := reg.Gauge("mlq_quadtree_sseg_queue_depth", "")
+	rng := rand.New(rand.NewSource(11))
+	checked := 0
+	for step := 0; step < 3000; step++ {
+		switch r := rng.Intn(100); {
+		case r < 3:
+			if err := tr.Resize(DefaultNodeBytes * (1 + rng.Intn(200))); err != nil {
+				t.Fatal(err)
+			}
+		case r < 8:
+			leaves := 0
+			tr.Walk(func(b Block) bool {
+				if b.Depth > 0 && b.Children == 0 {
+					leaves++
+				}
+				return true
+			})
+			tr.Compress()
+			if tr.SSEGQueueDepth() != leaves || gauge.Value() != float64(leaves) {
+				t.Fatalf("step %d: SSEGQueueDepth %d, gauge %g, want the %d non-root leaves", step, tr.SSEGQueueDepth(), gauge.Value(), leaves)
+			}
+			checked++
+		default:
+			if err := tr.Insert(geom.Point{rng.Float64(), rng.Float64()}, rng.Float64()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if checked == 0 || tr.Resizes() == 0 {
+		t.Fatalf("the mix ran %d checked passes and %d resizes", checked, tr.Resizes())
+	}
+}

@@ -28,6 +28,7 @@ func (t *Tree) Merge(other *Tree) error {
 		}
 	}
 	t.mergeNode(0, &other.a, 0, 0)
+	t.vs.invalidate() // keys moved all over the tree
 	t.inserts += other.inserts
 	if t.MemoryUsed() > t.cfg.MemoryLimit {
 		t.compress()
