@@ -16,10 +16,10 @@ import (
 //
 // The frame layout is unchanged from the pre-arena implementation: a header,
 // the region bounds, then the nodes depth-first with each node's children
-// written in creation order. Because the arena keeps slot order equal to
-// creation order (see arena.go), a tree built by the same insert sequence
+// written in creation order. Because the arena enumerates children by
+// creation stamp (see arena.go), a tree built by the same insert sequence
 // emits byte-identical frames to the pointer-linked implementation, and
-// pre-arena catalogs load unchanged — Read records children in file order,
+// pre-arena catalogs load unchanged — Read creates children in file order,
 // which reconstructs creation order exactly.
 
 const (
@@ -146,8 +146,8 @@ func Read(r io.Reader) (*Tree, error) {
 	t.compressions = compressions
 	t.removedNodes = removed
 
-	// Decode depth-first into the arena. Children are allocated in file
-	// order, so slot order reproduces the writer's creation order; spans
+	// Decode depth-first into the arena. Children are created in file
+	// order, so their stamps reproduce the writer's creation order; spans
 	// are maintained index-sorted by addChild as always.
 	var rec func(n int32, depth int) error
 	rec = func(n int32, depth int) error {
