@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"mlq/internal/buffercache"
 	"mlq/internal/core"
 	"mlq/internal/dist"
 	"mlq/internal/engine"
@@ -21,6 +22,7 @@ import (
 	"mlq/internal/histogram"
 	"mlq/internal/leo"
 	"mlq/internal/nncurve"
+	"mlq/internal/pagestore"
 	"mlq/internal/quadtree"
 	"mlq/internal/spatialdb"
 	"mlq/internal/synthetic"
@@ -399,6 +401,81 @@ func TestInstrumentationAllocs(t *testing.T) {
 	}
 	if on != bare {
 		t.Errorf("Publisher.Predict with a recorder allocates %v/op, without %v/op", on, bare)
+	}
+}
+
+// TestSubstrateAllocs pins the real UDFs' substrate to its modelled work: a
+// warm buffer-cache hit allocates nothing, nor does a steady-state miss that
+// evicts, and a warm SearchSimple, Window or Range allocates only the result
+// slice it returns.
+func TestSubstrateAllocs(t *testing.T) {
+	store, err := pagestore.New(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 32; i++ {
+		store.Alloc()
+	}
+	cache, err := buffercache.New(store, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit := testing.AllocsPerRun(1000, func() { _, _ = cache.Get(3) }); hit != 0 {
+		t.Errorf("warm Cache.Get hit allocates %v/op, want 0", hit)
+	}
+	// Cycling over 16 pages through 8 frames misses and evicts every time;
+	// AllocsPerRun's warm-up call plus one lap fill both lists first.
+	next := 0
+	cycle := func() {
+		_, _ = cache.Get(pagestore.PageID(next % 16))
+		next++
+	}
+	for i := 0; i < 16; i++ {
+		cycle()
+	}
+	misses, evictions := cache.Misses(), cache.Evictions()
+	if miss := testing.AllocsPerRun(1000, cycle); miss != 0 {
+		t.Errorf("steady-state Cache.Get miss with eviction allocates %v/op, want 0", miss)
+	}
+	if cache.Misses()-misses != 1001 || cache.Evictions()-evictions != 1001 {
+		t.Fatalf("cycle was not all misses with evictions: %d misses, %d evictions in 1001 lookups",
+			cache.Misses()-misses, cache.Evictions()-evictions)
+	}
+
+	tdb, err := textdb.Generate(textdb.Config{NumDocs: 600, VocabSize: 300, MeanDocLen: 50, PageSize: 512, CachePages: 16, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sdb, err := spatialdb.Generate(spatialdb.Config{NumObjects: 3000, PageSize: 512, CachePages: 16, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := []int{0, 1, 4}
+	queries := []struct {
+		name string
+		run  func() (int, error)
+	}{
+		{"SearchSimple", func() (int, error) {
+			docs, _, err := tdb.SearchSimple(words)
+			return len(docs), err
+		}},
+		{"Window", func() (int, error) {
+			objs, _, err := sdb.Window(400, 400, 200, 200)
+			return len(objs), err
+		}},
+		{"Range", func() (int, error) {
+			objs, _, err := sdb.Range(500, 500, 120)
+			return len(objs), err
+		}},
+	}
+	for _, q := range queries {
+		n, err := q.run()
+		if err != nil || n == 0 {
+			t.Fatalf("%s: %d results, err %v; want some", q.name, n, err)
+		}
+		if got := testing.AllocsPerRun(100, func() { _, _ = q.run() }); got != 1 {
+			t.Errorf("warm %s allocates %v/op, want 1 (its result slice)", q.name, got)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@
 package buffercache
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"time"
@@ -120,12 +119,24 @@ type RetryStats struct {
 
 // Cache is a fixed-capacity page cache over a pagestore.Store.
 // It is not safe for concurrent use.
+//
+// Resident pages and ghost IDs share one slot array and are threaded
+// through it as two circular doubly linked lists of slot indexes: slot 0
+// heads the resident list, slot 1 the ghost list. Unused slots chain
+// through next from free, so a steady-state miss recycles the slot its
+// eviction trimmed off the ghost list and allocates nothing. index maps a
+// page ID to its slot (0 = in neither list) and grows when a page ID past
+// its end first arrives. A page is never resident and a ghost at once: an
+// eviction moves its slot to the ghost list, and a miss takes the slot back.
 type Cache struct {
 	store    *pagestore.Store
 	capacity int
 	policy   Policy
-	order    *list.List // front = most recent (LRU) / newest (FIFO, Clock)
-	byID     map[pagestore.PageID]*list.Element
+	slots    []slot
+	index    []int32
+	free     int32 // head of the unused-slot chain; 0 = none
+	resident int   // pages on the resident list
+	ghosts   int   // IDs on the ghost list
 
 	hits      int64
 	misses    int64
@@ -138,8 +149,6 @@ type Cache struct {
 	// a ghost hit: a physical read that one more capacity window of pages
 	// would have avoided. Ghost bookkeeping never influences replacement
 	// decisions, so cache behavior is bit-identical with the list in place.
-	ghost     *list.List // evicted-page IDs, most recently evicted first
-	ghostByID map[pagestore.PageID]*list.Element
 	ghostHits int64
 
 	retry      RetryPolicy
@@ -151,10 +160,18 @@ type Cache struct {
 	ev  *events.Recorder // causal event spine; nil = recording off
 }
 
-type entry struct {
-	id   pagestore.PageID
-	data []byte
-	ref  bool // Clock's second-chance bit
+// The list heads in Cache.slots.
+const (
+	residentHead = 0 // front = most recent (LRU) / newest (FIFO, Clock)
+	ghostHead    = 1 // front = most recently evicted
+)
+
+type slot struct {
+	data       []byte // nil on the ghost list
+	id         pagestore.PageID
+	prev, next int32
+	ref        bool // Clock's second-chance bit
+	ghost      bool // on the ghost list
 }
 
 // New returns an LRU cache holding up to capacity pages.
@@ -175,15 +192,71 @@ func NewWithPolicy(store *pagestore.Store, capacity int, policy Policy) (*Cache,
 	default:
 		return nil, fmt.Errorf("buffercache: unknown policy %d", int(policy))
 	}
-	return &Cache{
-		store:     store,
-		capacity:  capacity,
-		policy:    policy,
-		order:     list.New(),
-		byID:      make(map[pagestore.PageID]*list.Element, capacity),
-		ghost:     list.New(),
-		ghostByID: make(map[pagestore.PageID]*list.Element, capacity),
-	}, nil
+	c := &Cache{
+		store:    store,
+		capacity: capacity,
+		policy:   policy,
+		slots:    make([]slot, 2, 2+2*capacity),
+		index:    make([]int32, store.NumPages()),
+	}
+	c.resetLists()
+	return c, nil
+}
+
+// resetLists empties both lists and the free chain.
+func (c *Cache) resetLists() {
+	c.slots[residentHead] = slot{prev: residentHead, next: residentHead}
+	c.slots[ghostHead] = slot{prev: ghostHead, next: ghostHead}
+	c.free, c.resident, c.ghosts = 0, 0, 0
+}
+
+// lookup returns page id's slot, or 0 when the page is in neither list.
+func (c *Cache) lookup(id pagestore.PageID) int32 {
+	if int(id) < len(c.index) {
+		return c.index[id]
+	}
+	return 0
+}
+
+// unlink takes slot s out of its list.
+func (c *Cache) unlink(s int32) {
+	prev, next := c.slots[s].prev, c.slots[s].next
+	c.slots[prev].next = next
+	c.slots[next].prev = prev
+}
+
+// pushFront links slot s at the front of the list headed by head.
+func (c *Cache) pushFront(head, s int32) {
+	next := c.slots[head].next
+	c.slots[s].prev, c.slots[s].next = head, next
+	c.slots[next].prev = s
+	c.slots[head].next = s
+}
+
+// newSlot returns an unused slot for page id and indexes the page to it.
+func (c *Cache) newSlot(id pagestore.PageID) int32 {
+	s := c.free
+	if s != 0 {
+		c.free = c.slots[s].next
+	} else {
+		s = int32(len(c.slots))
+		c.slots = append(c.slots, slot{})
+	}
+	if int(id) >= len(c.index) {
+		// The store read id, so it holds at least id+1 pages; index them
+		// all at once rather than one growth per new page.
+		n := max(c.store.NumPages(), int(id)+1)
+		c.index = append(c.index, make([]int32, n-len(c.index))...)
+	}
+	c.index[id] = s
+	return s
+}
+
+// freeSlot unindexes slot s's page and puts the slot on the free chain.
+func (c *Cache) freeSlot(s int32) {
+	c.index[c.slots[s].id] = 0
+	c.slots[s] = slot{next: c.free}
+	c.free = s
 }
 
 // Policy returns the cache's replacement policy.
@@ -284,19 +357,19 @@ func (c *Cache) readThrough(id pagestore.PageID) ([]byte, error) {
 // costs nothing; a miss performs one physical read and may evict a page
 // per the replacement policy. The returned slice must not be modified.
 func (c *Cache) Get(id pagestore.PageID) ([]byte, error) {
-	if el, ok := c.byID[id]; ok {
+	if s := c.lookup(id); s != 0 && !c.slots[s].ghost {
 		c.hits++
-		e := el.Value.(*entry)
 		switch c.policy {
 		case LRU:
-			c.order.MoveToFront(el)
+			c.unlink(s)
+			c.pushFront(residentHead, s)
 		case Clock:
-			e.ref = true
+			c.slots[s].ref = true
 		}
 		if c.tel != nil {
 			c.tel.publish(c)
 		}
-		return e.data, nil
+		return c.slots[s].data, nil
 	}
 	data, err := c.readThrough(id)
 	if err != nil {
@@ -307,19 +380,25 @@ func (c *Cache) Get(id pagestore.PageID) ([]byte, error) {
 		return nil, err
 	}
 	c.misses++
-	if el, ok := c.ghostByID[id]; ok {
+	s := c.lookup(id)
+	if s != 0 {
 		// This physical read would have been a hit with one more capacity
 		// window of pages — the signal the memory arbiter's hit-ratio
 		// gradient is built from. Each eviction can contribute at most one
-		// ghost hit: the entry is consumed.
+		// ghost hit: the entry is consumed, and its slot holds the page.
 		c.ghostHits++
-		c.ghost.Remove(el)
-		delete(c.ghostByID, id)
+		c.unlink(s)
+		c.ghosts--
 	}
-	if c.order.Len() >= c.capacity {
+	if c.resident >= c.capacity {
 		c.evict()
 	}
-	c.byID[id] = c.order.PushFront(&entry{id: id, data: data})
+	if s == 0 {
+		s = c.newSlot(id)
+	}
+	c.slots[s] = slot{id: id, data: data}
+	c.pushFront(residentHead, s)
+	c.resident++
 	if c.tel != nil {
 		c.tel.publish(c)
 	}
@@ -329,51 +408,41 @@ func (c *Cache) Get(id pagestore.PageID) ([]byte, error) {
 // evict removes one page per the replacement policy.
 func (c *Cache) evict() {
 	c.evictions++
-	switch c.policy {
-	case LRU, FIFO:
-		// LRU keeps recency order by moving hits to the front, so the
-		// back is the least recently used; under FIFO the back is
-		// simply the oldest-loaded page.
-		back := c.order.Back()
-		c.order.Remove(back)
-		id := back.Value.(*entry).id
-		delete(c.byID, id)
-		c.remember(id)
-	case Clock:
-		// Sweep from the oldest end, granting one second chance to
-		// referenced pages.
-		for {
-			back := c.order.Back()
-			e := back.Value.(*entry)
-			if e.ref {
-				e.ref = false
-				c.order.MoveToFront(back)
-				continue
-			}
-			c.order.Remove(back)
-			delete(c.byID, e.id)
-			c.remember(e.id)
-			return
+	// LRU keeps recency order by moving hits to the front, so the back is
+	// the least recently used; under FIFO the back is simply the
+	// oldest-loaded page. Clock sweeps from the oldest end, granting one
+	// second chance to referenced pages.
+	s := c.slots[residentHead].prev
+	if c.policy == Clock {
+		for c.slots[s].ref {
+			c.slots[s].ref = false
+			c.unlink(s)
+			c.pushFront(residentHead, s)
+			s = c.slots[residentHead].prev
 		}
 	}
+	c.unlink(s)
+	c.resident--
+	c.remember(s)
 }
 
-// remember records an evicted page ID in the ghost list, bounded to one
-// capacity window of history.
-func (c *Cache) remember(id pagestore.PageID) {
-	if el, ok := c.ghostByID[id]; ok {
-		c.ghost.Remove(el)
-	}
-	c.ghostByID[id] = c.ghost.PushFront(id)
+// remember moves an evicted page's slot to the front of the ghost list,
+// bounded to one capacity window of history.
+func (c *Cache) remember(s int32) {
+	c.slots[s].data = nil
+	c.slots[s].ghost = true
+	c.pushFront(ghostHead, s)
+	c.ghosts++
 	c.trimGhost()
 }
 
 // trimGhost bounds the ghost list to the current capacity.
 func (c *Cache) trimGhost() {
-	for c.ghost.Len() > c.capacity {
-		back := c.ghost.Back()
-		c.ghost.Remove(back)
-		delete(c.ghostByID, back.Value.(pagestore.PageID))
+	for c.ghosts > c.capacity {
+		back := c.slots[ghostHead].prev
+		c.unlink(back)
+		c.ghosts--
+		c.freeSlot(back)
 	}
 }
 
@@ -407,7 +476,7 @@ func (c *Cache) HitRatio() float64 {
 func (c *Cache) GhostHits() int64 { return c.ghostHits }
 
 // Len returns the number of cached pages.
-func (c *Cache) Len() int { return c.order.Len() }
+func (c *Cache) Len() int { return c.resident }
 
 // Capacity returns the cache capacity in pages.
 func (c *Cache) Capacity() int { return c.capacity }
@@ -436,7 +505,7 @@ func (c *Cache) Resize(pages int) error {
 	}
 	old := c.capacity
 	c.capacity = pages
-	for c.order.Len() > c.capacity {
+	for c.resident > c.capacity {
 		c.evict()
 	}
 	c.trimGhost()
@@ -452,10 +521,10 @@ func (c *Cache) Resize(pages int) error {
 // The ghost list is dropped too: after a cold restart an early miss says
 // nothing about capacity.
 func (c *Cache) Invalidate() {
-	c.order.Init()
-	c.byID = make(map[pagestore.PageID]*list.Element, c.capacity)
-	c.ghost.Init()
-	c.ghostByID = make(map[pagestore.PageID]*list.Element, c.capacity)
+	clear(c.index)
+	clear(c.slots) // drop the page references
+	c.slots = c.slots[:2]
+	c.resetLists()
 }
 
 // Meter measures the IO cost of one query: snapshot before, Delta/Cost after.

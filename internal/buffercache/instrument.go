@@ -63,7 +63,7 @@ func (tel *cacheTelemetry) publish(c *Cache) {
 	tel.faults.Store(c.faults)
 	tel.ghostHits.Store(c.ghostHits)
 	tel.resizes.Store(c.resizes)
-	tel.pages.SetInt(int64(c.order.Len()))
+	tel.pages.SetInt(int64(c.resident))
 	tel.capacity.SetInt(int64(c.capacity))
 	tel.capBytes.SetInt(int64(c.CapacityBytes()))
 	tel.hitRatio.Set(c.HitRatio())

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"mlq/internal/buffercache"
@@ -114,7 +115,8 @@ type ExecStats struct {
 	Wall time.Duration
 }
 
-// DB is a loaded spatial database.
+// DB is a loaded spatial database. A DB is not safe for concurrent use:
+// every query goes through its buffer cache and its per-query scratch.
 type DB struct {
 	cfg   Config
 	store *pagestore.Store
@@ -127,6 +129,13 @@ type DB struct {
 	grid      [][]pagestore.PageID // per cell: pages of object IDs
 	cellCount []int32              // per cell: number of IDs
 	idsPage   int                  // IDs per cell page
+
+	// Per-query scratch, reused across queries. seen[id] == gen marks
+	// object id examined by the current query, so bumping gen clears it.
+	seen  []uint32
+	gen   uint32
+	ids   []uint32 // the grid cell's object IDs being scanned
+	found []Object // Window and Range results before the caller's copy
 }
 
 // Generate builds the clustered map, serializes objects and the grid index
@@ -199,6 +208,7 @@ func Generate(cfg Config) (*DB, error) {
 		}
 		db.objPages = append(db.objPages, id)
 	}
+	db.seen = make([]uint32, len(db.objPages)*db.objPerPage)
 
 	// Step 3: grid index — each object registered in every overlapping cell.
 	g := cfg.GridSize
@@ -289,11 +299,12 @@ func (db *DB) object(id uint32, stats *ExecStats) (Object, error) {
 	}, nil
 }
 
-// cellIDs fetches the object IDs registered in grid cell (cx, cy).
+// cellIDs fetches the object IDs registered in grid cell (cx, cy) into the
+// DB's reused buffer, so the slice is valid only until the next call.
 func (db *DB) cellIDs(cx, cy int, stats *ExecStats) ([]uint32, error) {
 	idx := cy*db.cfg.GridSize + cx
 	n := int(db.cellCount[idx])
-	out := make([]uint32, 0, n)
+	out := db.ids[:0]
 	stats.CPU++
 	for _, pid := range db.grid[idx] {
 		data, err := db.cache.Get(pid)
@@ -308,28 +319,66 @@ func (db *DB) cellIDs(cx, cy int, stats *ExecStats) ([]uint32, error) {
 			out = append(out, binary.LittleEndian.Uint32(data[i*4:]))
 		}
 	}
+	db.ids = out
 	return out, nil
 }
 
-// run wraps a query body with IO metering and wall-clock timing.
-func (db *DB) run(body func(stats *ExecStats) error) (ExecStats, error) {
-	var stats ExecStats
+// begin starts a query: it bumps the generation, which marks every object
+// unexamined at once, and returns the new generation.
+func (db *DB) begin() uint32 {
+	db.gen++
+	if db.gen == 0 {
+		// Wrapped: marks left 2^32 queries ago would match.
+		clear(db.seen)
+		db.gen = 1
+	}
+	return db.gen
+}
+
+// firstVisit reports whether the query of generation gen examines object
+// id for the first time, and marks it examined. An ID past the object
+// pages is new every time; db.object rejects it.
+func (db *DB) firstVisit(id, gen uint32) bool {
+	if int(id) >= len(db.seen) {
+		return true
+	}
+	if db.seen[id] == gen {
+		return false
+	}
+	db.seen[id] = gen
+	return true
+}
+
+// takeFound returns a copy of the results collected in db.found, or nil
+// when there are none.
+func (db *DB) takeFound() []Object {
+	if len(db.found) == 0 {
+		return nil
+	}
+	return slices.Clone(db.found)
+}
+
+// run runs a query body with IO metering and wall-clock timing into stats.
+// The body captures stats rather than receiving it, so that stats stays off
+// the heap.
+func (db *DB) run(stats *ExecStats, body func() error) error {
 	meter := db.cache.NewMeter()
 	start := time.Now()
-	err := body(&stats)
+	err := body()
 	stats.Wall = time.Since(start)
 	stats.IO = meter.Cost()
-	return stats, err
+	return err
 }
 
 // Window returns the objects intersecting the window with lower-left corner
 // (wx, wy) and extents (ww, wh) — the paper's window-search UDF.
 func (db *DB) Window(wx, wy, ww, wh float64) ([]Object, ExecStats, error) {
-	var out []Object
-	stats, err := db.run(func(stats *ExecStats) error {
+	db.found = db.found[:0]
+	stats := new(ExecStats)
+	err := db.run(stats, func() error {
 		x0, y0 := db.cellOf(wx, wy)
 		x1, y1 := db.cellOf(wx+ww, wy+wh)
-		seen := make(map[uint32]bool)
+		gen := db.begin()
 		for cy := y0; cy <= y1; cy++ {
 			for cx := x0; cx <= x1; cx++ {
 				ids, err := db.cellIDs(cx, cy, stats)
@@ -337,36 +386,36 @@ func (db *DB) Window(wx, wy, ww, wh float64) ([]Object, ExecStats, error) {
 					return err
 				}
 				for _, id := range ids {
-					if seen[id] {
+					if !db.firstVisit(id, gen) {
 						continue
 					}
-					seen[id] = true
 					o, err := db.object(id, stats)
 					if err != nil {
 						return err
 					}
 					if o.intersectsWindow(wx, wy, ww, wh) {
-						out = append(out, o)
+						db.found = append(db.found, o)
 					}
 				}
 			}
 		}
 		return nil
 	})
-	return out, stats, err
+	return db.takeFound(), *stats, err
 }
 
 // Range returns the objects within distance r of the point (x, y) — the
 // paper's range-search UDF.
 func (db *DB) Range(x, y, r float64) ([]Object, ExecStats, error) {
-	var out []Object
-	stats, err := db.run(func(stats *ExecStats) error {
+	db.found = db.found[:0]
+	stats := new(ExecStats)
+	err := db.run(stats, func() error {
 		if r < 0 {
 			return fmt.Errorf("spatialdb: negative range %g", r)
 		}
 		x0, y0 := db.cellOf(x-r, y-r)
 		x1, y1 := db.cellOf(x+r, y+r)
-		seen := make(map[uint32]bool)
+		gen := db.begin()
 		for cy := y0; cy <= y1; cy++ {
 			for cx := x0; cx <= x1; cx++ {
 				ids, err := db.cellIDs(cx, cy, stats)
@@ -374,23 +423,22 @@ func (db *DB) Range(x, y, r float64) ([]Object, ExecStats, error) {
 					return err
 				}
 				for _, id := range ids {
-					if seen[id] {
+					if !db.firstVisit(id, gen) {
 						continue
 					}
-					seen[id] = true
 					o, err := db.object(id, stats)
 					if err != nil {
 						return err
 					}
 					if o.distTo(x, y) <= r {
-						out = append(out, o)
+						db.found = append(db.found, o)
 					}
 				}
 			}
 		}
 		return nil
 	})
-	return out, stats, err
+	return db.takeFound(), *stats, err
 }
 
 // knnItem is a max-heap entry so the farthest of the current k is on top.
@@ -417,7 +465,8 @@ func (h *knnHeap) Pop() interface{} {
 // neighbors UDF. Results are ordered nearest first.
 func (db *DB) KNN(x, y float64, k int) ([]Object, ExecStats, error) {
 	var out []Object
-	stats, err := db.run(func(stats *ExecStats) error {
+	stats := new(ExecStats)
+	err := db.run(stats, func() error {
 		if k < 1 {
 			return fmt.Errorf("spatialdb: k must be >= 1, got %d", k)
 		}
@@ -428,17 +477,16 @@ func (db *DB) KNN(x, y float64, k int) ([]Object, ExecStats, error) {
 		cw := db.cfg.Extent / float64(g)
 		cx, cy := db.cellOf(x, y)
 		var h knnHeap
-		seen := make(map[uint32]bool)
+		gen := db.begin()
 		examine := func(gx, gy int) error {
 			ids, err := db.cellIDs(gx, gy, stats)
 			if err != nil {
 				return err
 			}
 			for _, id := range ids {
-				if seen[id] {
+				if !db.firstVisit(id, gen) {
 					continue
 				}
-				seen[id] = true
 				o, err := db.object(id, stats)
 				if err != nil {
 					return err
@@ -489,5 +537,5 @@ func (db *DB) KNN(x, y float64, k int) ([]Object, ExecStats, error) {
 		}
 		return nil
 	})
-	return out, stats, err
+	return out, *stats, err
 }
