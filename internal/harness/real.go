@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"mlq/internal/core"
@@ -156,6 +157,10 @@ func Fig10Real(u udf.UDF, opts Options) ([]CostBreakdown, error) {
 		mlq := model.(*core.MLQ)
 		src := dist.NewUniform(u.Region(), opts.Seed)
 		var totalExec time.Duration
+		// Collect first, so that a collection of the garbage left by
+		// building the substrate or by the previous method does not run
+		// inside the few timed model calls, each of which stands for 64.
+		runtime.GC()
 		for i := 0; i < opts.Queries; i++ {
 			p := src.Next()
 			mlq.Predict(p)
