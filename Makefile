@@ -85,11 +85,13 @@ repro:
 repro-quick:
 	$(GO) run ./cmd/mlqbench -quick
 
-# 30 seconds of coverage-guided fuzzing per binary decoder. The pattern is
+# 30 seconds of coverage-guided fuzzing per binary decoder, and of the
+# descent's bisection grid against sequential bisection. The pattern is
 # anchored: the catalog package also has FuzzRecover, and go test rejects a
 # -fuzz pattern matching more than one target.
 fuzz:
 	$(GO) test -fuzz '^FuzzRead$$' -fuzztime 30s ./internal/quadtree
+	$(GO) test -fuzz '^FuzzDescentCells$$' -fuzztime 30s ./internal/quadtree
 	$(GO) test -fuzz '^FuzzRead$$' -fuzztime 30s ./internal/histogram
 	$(GO) test -fuzz '^FuzzRead$$' -fuzztime 30s ./internal/catalog
 	$(GO) test -fuzz '^FuzzRecover$$' -fuzztime 30s ./internal/catalog

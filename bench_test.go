@@ -192,6 +192,26 @@ func randPoints(n int, seed int64) []geom.Point {
 	return pts
 }
 
+// clusteredPoints returns n points in [0, 1000)^4 normally scattered
+// (σ = 50) around a centre that moves to a fresh uniform draw every 2048
+// points.
+func clusteredPoints(n int, seed int64) []geom.Point {
+	rng := rand.New(rand.NewSource(seed))
+	pts := make([]geom.Point, n)
+	var centre geom.Point
+	for i := range pts {
+		if i%2048 == 0 {
+			centre = geom.Point{rng.Float64() * 1000, rng.Float64() * 1000, rng.Float64() * 1000, rng.Float64() * 1000}
+		}
+		p := make(geom.Point, 4)
+		for d := range p {
+			p[d] = min(max(centre[d]+rng.NormFloat64()*50, 0), 999)
+		}
+		pts[i] = p
+	}
+	return pts
+}
+
 // BenchmarkInsert measures a single model update (IC + amortized CC) under
 // the paper's 1.8 KB budget, for both strategies.
 func BenchmarkInsert(b *testing.B) {
@@ -549,20 +569,25 @@ func BenchmarkCompress(b *testing.B) {
 // already at its budget, at ~16 KiB (a pass every few inserts, evicting
 // one node) and ~1 MiB (~52k nodes, 53 victims a pass): the insertion
 // cost plus its amortized share of compression, with the victim set
-// carried between passes as it is in a running model. passes/op is the
-// compression passes per insert.
+// carried between passes as it is in a running model. The 1MiB-clustered
+// case trains on uniform points and then inserts clustered ones, so the
+// inserts between two passes revisit a few hot regions along many paths,
+// as an optimizer's stream does. passes/op is the compression passes per
+// insert.
 func BenchmarkInsertAtBudget(b *testing.B) {
-	pts := randPoints(1<<16, 9)
+	uniform := randPoints(1<<16, 9)
 	for _, c := range []struct {
 		name  string
 		bytes int
-	}{{"16KiB", 16 << 10}, {"1MiB", 1 << 20}} {
+		pts   []geom.Point
+	}{{"16KiB", 16 << 10, uniform}, {"1MiB", 1 << 20, uniform}, {"1MiB-clustered", 1 << 20, clusteredPoints(1<<16, 9)}} {
 		b.Run(c.name, func(b *testing.B) {
 			t := newBenchTree(b, quadtree.Lazy, c.bytes/quadtree.DefaultNodeBytes)
 			j := 0
 			for ; t.Compressions() < 64; j++ {
-				t.Insert(pts[j%len(pts)], float64(j%10000))
+				t.Insert(uniform[j%len(uniform)], float64(j%10000))
 			}
+			pts := c.pts
 			passes := t.Compressions()
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -111,17 +111,24 @@ func (r Rect) Clamp(p Point) Point {
 // insertion paths clamp into stack buffers with it.
 func (r Rect) ClampInto(dst, p Point) {
 	for i, v := range p {
-		if v < r.Lo[i] {
-			v = r.Lo[i]
-		}
-		if v >= r.Hi[i] {
-			v = math.Nextafter(r.Hi[i], math.Inf(-1))
-			if v < r.Lo[i] {
-				v = r.Lo[i]
-			}
-		}
-		dst[i] = v
+		dst[i] = ClampCoord(v, r.Lo[i], r.Hi[i])
 	}
+}
+
+// ClampCoord is Clamp for one coordinate of the interval [lo, hi): v at or
+// beyond hi is pulled just below it, v below lo is raised to lo, and NaN
+// is returned unchanged.
+func ClampCoord(v, lo, hi float64) float64 {
+	if v < lo {
+		v = lo
+	}
+	if v >= hi {
+		v = math.Nextafter(hi, math.Inf(-1))
+		if v < lo {
+			v = lo
+		}
+	}
+	return v
 }
 
 // Center returns the midpoint of the rectangle.
@@ -171,21 +178,6 @@ func (r Rect) Child(idx uint32) Rect {
 		}
 	}
 	return Rect{Lo: lo, Hi: hi}
-}
-
-// NarrowTo shrinks the rectangle in place to its sub-block with the given
-// index: afterwards r's bounds equal r.Child(idx)'s, bit for bit, because
-// the midpoint is the same expression. A descent that owns its bounds
-// narrows with it instead of allocating a fresh Rect per level.
-func (r Rect) NarrowTo(idx uint32) {
-	for i := range r.Lo {
-		mid := r.Lo[i] + (r.Hi[i]-r.Lo[i])/2
-		if idx&(1<<uint(i)) != 0 {
-			r.Lo[i] = mid
-		} else {
-			r.Hi[i] = mid
-		}
-	}
 }
 
 // String renders the rectangle as "[lo .. hi)".

@@ -125,31 +125,6 @@ func TestClampIntoMatchesClamp(t *testing.T) {
 	}
 }
 
-// NarrowTo lands on Child's bounds bit for bit, level after level.
-func TestNarrowToMatchesChild(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for iter := 0; iter < 200; iter++ {
-		d := 1 + rng.Intn(9)
-		lo, hi := make(Point, d), make(Point, d)
-		for i := range lo {
-			lo[i] = rng.Float64()*20 - 10
-			hi[i] = lo[i] + rng.Float64()*10 + 0.001
-		}
-		ref := MustRect(lo, hi)
-		cur := ref.Clone()
-		for level := 0; level < 12; level++ {
-			idx := uint32(rng.Intn(1 << uint(d)))
-			ref = ref.Child(idx)
-			cur.NarrowTo(idx)
-			for i := range ref.Lo {
-				if cur.Lo[i] != ref.Lo[i] || cur.Hi[i] != ref.Hi[i] {
-					t.Fatalf("level %d: NarrowTo gave %v, Child %v", level, cur, ref)
-				}
-			}
-		}
-	}
-}
-
 func TestCenterAndDiagonal(t *testing.T) {
 	r := MustRect(Point{0, 0}, Point{4, 3})
 	c := r.Center()

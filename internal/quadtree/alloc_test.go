@@ -33,8 +33,8 @@ func cubeRegion(d int, hi float64) geom.Rect {
 
 // TestZeroAllocs pins the hot paths' allocation contract: prediction on a
 // Tree or a Snapshot, and an insertion that neither grows the arena nor
-// compresses, allocate nothing. The point is clamped and the block bounds
-// narrowed in stack buffers.
+// compresses, allocate nothing. The bisection grid needs no buffers, and
+// a descent below it narrows the block bounds in stack buffers.
 func TestZeroAllocs(t *testing.T) {
 	pts := allocPoints(4096, 4, 1)
 	tr := mustTree(t, Config{Region: cubeRegion(4, 1000), MemoryLimit: 92 * DefaultNodeBytes})
@@ -113,10 +113,10 @@ func TestCompressAllocs(t *testing.T) {
 	}
 }
 
-// refDescentInsert is Insert's descent as written before it clamped and
-// narrowed in place: a clamped copy of the point and a fresh Rect per level
-// from Rect.Child. It keeps Insert's kids compaction but skips compression,
-// so trees fed by it must stay under their limit.
+// refDescentInsert is Insert's descent by the midpoint arithmetic alone: a
+// clamped copy of the point and a fresh Rect per level from Rect.Child. It
+// keeps Insert's kids compaction but skips compression, so trees fed by it
+// must stay under their limit.
 func refDescentInsert(t *Tree, p geom.Point, value float64) {
 	p = t.cfg.Region.Clamp(p)
 	th := t.Threshold()
@@ -167,10 +167,12 @@ func refDescentPredict(a *arena, region geom.Rect, p geom.Point, beta int) (floa
 }
 
 // TestDescentPastStackBuffers runs 9-D trees, one dimension past the
-// descent's 8-slot stack buffers, so Insert and Predict take their heap
-// fallback. Their arenas and answers must match the Clamp/Child reference
-// descent exactly. The 64-level tree is fed boundary points: its deepest
-// blocks are a few ulps wide, where the clamp decides the path.
+// 8-slot stack buffers of a descent below the bisection grid, so Insert
+// and Predict take their heap fallback there; the 4-level tree never
+// leaves the grid. Their arenas and answers must match the Clamp/Child
+// reference descent exactly. The 64-level tree is fed boundary points:
+// its deepest blocks are a few ulps wide, where the clamp decides the
+// path.
 func TestDescentPastStackBuffers(t *testing.T) {
 	const d = 9
 	edge := func(v float64) geom.Point {

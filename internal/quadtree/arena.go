@@ -329,12 +329,13 @@ func (a *arena) compactKids() {
 
 // clone returns an independent copy of the arena — two slice copies. This
 // is the whole snapshot cost of the epoch-publishing read path.
+// slices.Clone allocates without zeroing what it is about to overwrite,
+// which a make into the struct field followed by copy does not, and it
+// keeps a nil slice nil.
 func (a *arena) clone() arena {
 	c := *a
-	c.nodes = make([]node, len(a.nodes))
-	copy(c.nodes, a.nodes)
-	c.kids = make([]kidRef, len(a.kids))
-	copy(c.kids, a.kids)
+	c.nodes = slices.Clone(a.nodes)
+	c.kids = slices.Clone(a.kids)
 	return c
 }
 

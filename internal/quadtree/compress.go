@@ -3,7 +3,6 @@ package quadtree
 import (
 	"cmp"
 	"math"
-	"slices"
 	"time"
 )
 
@@ -158,18 +157,20 @@ func firstLeaves(a *arena, key *victimKey, k int, buf []victim) victimHeap {
 // exceeded; exposing it lets callers shrink a model ahead of a known burst.
 func (t *Tree) Compress() { t.compress() }
 
-// victimBuf caps the victim set a tree carries between passes, unless a
-// pass evicts more: the set holds max(k, min(victimBuf, leaves/8)) leaves.
-// 64 covers γ·MemoryLimit/NodeBytes for budgets up to 64·NodeBytes/γ
-// (1.28 MB at the defaults). A tree with fewer than 8·victimBuf leaves
-// carries an eighth of them: refreshing a set costs about as much as
-// rescanning that many leaves, so a larger one would not pay on a small
-// tree.
+// victimBuf caps the victim set a tree carries between passes, unless
+// four passes' victims are more: the set holds
+// max(4k, min(victimBuf, leaves/8)) leaves. Four passes' worth leaves
+// enough survivors of one pass, whose keys did not move, to cover the next
+// pass's k victims. A tree with fewer than 8·victimBuf leaves carries an
+// eighth of them: refreshing a set costs about as much as rescanning that
+// many leaves, so a larger one would not pay on a small tree.
 const victimBuf = 64
 
-// pathBuf is how many insert paths a tree records between two passes. One
-// more makes the next pass rescan every slot.
-const pathBuf = 64
+// Mark bits of a slot, kept in victimSet.marks while the set is valid.
+const (
+	markDirty  uint8 = 1 << iota // an insert changed the slot's summary since the last pass
+	markMember                   // the slot's leaf is in the heap
+)
 
 // victimSet is the compression queue a tree carries from one pass to the
 // next, as Fig. 6 and §4.4 keep the SSEG queue across insertions. It is a
@@ -179,94 +180,82 @@ const pathBuf = 64
 // leaves of the whole tree are among them.
 //
 // Inserts move keys: SSEG(b) (Eq. 9) reads b's summary and its parent's
-// mean, and an insert changes the summaries on its path only. Insert
-// records the deepest node of each path in paths, and the next pass
-// re-keys the leaf children of those paths' nodes, and the members.
+// mean, and an insert changes the summaries on its path only. Insert marks
+// its path's slots dirty, and the next pass re-keys the members whose
+// parent is dirty and the leaf children of every dirty slot; no other key
+// moved. A slot is dirty only if its parent is, so marking stops at the
+// first slot already dirty.
 type victimSet struct {
 	h     victimHeap // its storage is a prefix of buf
 	buf   []victim
 	bound victim
 	// valid is false when the next pass must rescan every slot: before the
 	// first pass, after Merge, Clone or Read, after a pass that packed the
-	// arena, after the stamps were renumbered, and once paths overflows.
-	// CompressRandom never sets it: its keys change with every pass.
-	valid  bool
-	paths  [pathBuf]int32
-	npaths int
+	// arena, and after the stamps were renumbered. CompressRandom never
+	// sets it: its keys change with every pass.
+	valid bool
+	// marks holds each slot's mark bits, and dirty lists the dirty slots,
+	// each once; both are kept only while the set is valid.
+	marks []uint8
+	dirty []int32
+	// rescans counts the passes that rebuilt the set by a slot scan.
+	rescans int
 }
 
-// record notes that an insert changed the summaries on the path from the
-// root to n.
-func (s *victimSet) record(n int32) {
-	switch {
-	case !s.valid || s.npaths > 0 && s.paths[s.npaths-1] == n:
-		// Nothing to refresh, or the path just recorded.
-	case s.npaths == len(s.paths):
-		s.invalidate()
-	default:
-		s.paths[s.npaths] = n
-		s.npaths++
+// touch marks the path from the root to n dirty: an insert changed the
+// summaries on it. It walks up from n and stops at the first slot already
+// dirty, whose ancestors are dirty too.
+func (s *victimSet) touch(a *arena, n int32) {
+	if !s.valid {
+		return
+	}
+	if len(s.marks) < len(a.nodes) {
+		s.marks = append(s.marks, make([]uint8, len(a.nodes)-len(s.marks))...)
+	}
+	for ; n != noParent && s.marks[n]&markDirty == 0; n = a.nodes[n].parent {
+		s.marks[n] |= markDirty
+		s.dirty = append(s.dirty, n)
 	}
 }
 
 // invalidate makes the next pass rescan every slot.
-func (s *victimSet) invalidate() {
-	s.valid = false
-	s.npaths = 0
-}
+func (s *victimSet) invalidate() { s.valid = false }
 
 // atOrBefore reports whether c ranks at or before the bound.
 func (s *victimSet) atOrBefore(c victim) bool { return !s.bound.before(c) }
 
-// refresh brings a valid set up to date with the recorded paths and returns
-// its size. Members that stopped being leaves, or whose key moved past the
-// bound, drop out; the leaf children of every recorded path's nodes are
-// re-keyed, each node visited once, and admitted if they rank at or before
-// the bound. Every other leaf kept its key, so the invariant holds after.
+// refresh brings a valid set up to date with the dirty slots and returns
+// its size. Members whose parent is dirty are re-keyed, and drop out if
+// they stopped being leaves or their key moved past the bound; the leaf
+// children of every dirty slot that are not members are re-keyed and
+// admitted if they rank at or before the bound. Every other leaf kept its
+// key, so the invariant holds after. The dirty marks are cleared.
 func (s *victimSet) refresh(a *arena, key *victimKey) int {
+	marks := s.marks
 	v := s.h.v[:0]
 	for _, c := range s.h.v {
-		if !a.isLeaf(c.ref) {
-			continue
+		if marks[a.nodes[c.ref].parent]&markDirty != 0 {
+			if c = key.candidate(c.ref); !a.isLeaf(c.ref) || !s.atOrBefore(c) {
+				marks[c.ref] &^= markMember
+				continue
+			}
 		}
-		if c = key.candidate(c.ref); s.atOrBefore(c) {
-			v = append(v, c)
-		}
+		v = append(v, c)
 	}
 	s.h.v = v
 	s.h.init()
-	var seen [2 * pathBuf]int32
-	nseen := 0
-	for _, n := range s.paths[:s.npaths] {
-		for p := n; p != noParent; p = a.nodes[p].parent {
-			if slices.Contains(seen[:nseen], p) {
-				break // p's ancestors were visited with it
-			}
-			if nseen < len(seen) {
-				seen[nseen] = p
-				nseen++
-			}
-			for _, e := range a.span(p) {
-				if a.isLeaf(e.ref) {
-					if c := key.candidate(e.ref); s.atOrBefore(c) && !s.holds(e.ref) {
-						s.admit(c)
-					}
+	for _, n := range s.dirty {
+		for _, e := range a.span(n) {
+			if marks[e.ref]&markMember == 0 && a.isLeaf(e.ref) {
+				if c := key.candidate(e.ref); s.atOrBefore(c) {
+					s.admit(c)
 				}
 			}
 		}
+		marks[n] &^= markDirty
 	}
-	s.npaths = 0
+	s.dirty = s.dirty[:0]
 	return len(s.h.v)
-}
-
-// holds reports whether the leaf in slot n is a member.
-func (s *victimSet) holds(n int32) bool {
-	for _, c := range s.h.v {
-		if c.ref == n {
-			return true
-		}
-	}
-	return false
 }
 
 // admit adds c, which ranks at or before the bound. When the heap is full,
@@ -275,10 +264,12 @@ func (s *victimSet) admit(c victim) {
 	h := &s.h
 	if len(h.v) < cap(h.v) {
 		h.push(c)
+		s.marks[c.ref] |= markMember
 		return
 	}
-	last := 0
-	for i := range h.v {
+	// The last member is a heap leaf: one of the second half's slots.
+	last := len(h.v) / 2
+	for i := last + 1; i < len(h.v); i++ {
 		if h.v[last].before(h.v[i]) {
 			last = i
 		}
@@ -286,7 +277,9 @@ func (s *victimSet) admit(c victim) {
 	if c.before(h.v[last]) {
 		// The last member has no heap children, so c only sifts up.
 		s.bound = h.v[last]
+		s.marks[s.bound.ref] &^= markMember
 		h.v[last] = c
+		s.marks[c.ref] |= markMember
 		h.up(last)
 	} else {
 		s.bound = c
@@ -295,7 +288,8 @@ func (s *victimSet) admit(c victim) {
 
 // rescan rebuilds the set from one scan over the slots: the m first leaves,
 // and the last of them as the bound, or an unbeatable bound when there are
-// fewer. It reuses the carried storage when it is large enough.
+// fewer. It reuses the carried storage when it is large enough, and clears
+// every mark but the members'.
 func (s *victimSet) rescan(a *arena, key *victimKey, m int) {
 	if cap(s.buf) < m {
 		s.buf = make([]victim, 0, max(victimBuf, min(m, a.leaves)))
@@ -307,7 +301,17 @@ func (s *victimSet) rescan(a *arena, key *victimKey, m int) {
 	}
 	s.h.max = false
 	s.h.init()
-	s.npaths = 0
+	if cap(s.marks) < len(a.nodes) {
+		s.marks = make([]uint8, len(a.nodes))
+	} else {
+		s.marks = s.marks[:len(a.nodes)]
+		clear(s.marks)
+	}
+	for _, c := range s.h.v {
+		s.marks[c.ref] = markMember
+	}
+	s.dirty = s.dirty[:0]
+	s.rescans++
 }
 
 // compress implements the algorithm of Fig. 6. It removes leaves in victim
@@ -356,7 +360,7 @@ func (t *Tree) compress() {
 		needFree = nb // always make progress
 	}
 	k := (needFree + nb - 1) / nb
-	m := max(k, min(victimBuf, t.a.leaves/8)) // the carried set's size
+	m := max(4*k, min(victimBuf, t.a.leaves/8)) // the carried set's size
 	if over := t.MemoryUsed() - t.cfg.MemoryLimit; over > needFree {
 		k = (over + nb - 1) / nb
 	}
@@ -370,6 +374,7 @@ func (t *Tree) compress() {
 	h := &vs.h
 	for removed := 0; removed < k && len(h.v) > 0; removed++ {
 		leaf := h.pop().ref
+		vs.marks[leaf] &^= markMember
 		parent := t.a.nodes[leaf].parent
 		t.a.release(leaf)
 		t.nodeCount--
@@ -377,6 +382,7 @@ func (t *Tree) compress() {
 		if parent != 0 && t.a.isLeaf(parent) {
 			if c := key.candidate(parent); c.before(vs.bound) {
 				h.push(c)
+				vs.marks[parent] |= markMember
 			}
 		}
 	}

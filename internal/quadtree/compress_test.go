@@ -1,6 +1,7 @@
 package quadtree
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -311,3 +312,84 @@ func TestSSEGPolicyBeatsRandomEviction(t *testing.T) {
 		t.Errorf("SSEG policy NAE %.4f worse than random eviction %.4f", sseg, random)
 	}
 }
+
+// TestVictimSetRefreshesClusteredPasses runs a 4-D lazy tree at a 1 MiB
+// budget (~52k nodes, 53 victims a pass) through clustered inserts that
+// touch more than 64 distinct paths between two passes, where a fixed
+// buffer of insert paths used to overflow and make every pass rescan the
+// slots. Now a pass finds the carried set valid and refreshes it, unless
+// the refreshed set holds fewer than k leaves: every pass removes k of
+// its members, and the leaves whose keys moved replenish it only in part,
+// so a set rebuilt by a rescan carries a few passes before it runs out.
+// At least three passes in four must refresh, the pass after a rescan
+// always must, and every pass must evict what a twin evicts that rescans
+// for every pass.
+func TestVictimSetRefreshesClusteredPasses(t *testing.T) {
+	tr := mustTree(t, Config{Region: geom.UnitCube(4), Strategy: Lazy, MemoryLimit: 1 << 20})
+	rng := rand.New(rand.NewSource(5))
+	p := make(geom.Point, 4)
+	cost := func() float64 { return 100*(p[0]+p[1]*p[2]) + rng.Float64() }
+	// Train as a model in use is: uniform inserts until the budget is
+	// reached and for a while after, so that the lazy threshold has grown
+	// and a pass runs every hundred inserts or more.
+	for past := 0; past < 40000; {
+		uniformDraw(rng, p)
+		if err := tr.Insert(p, cost()); err != nil {
+			t.Fatal(err)
+		}
+		if tr.Compressions() > 0 {
+			past++
+		}
+	}
+	twin := tr.Clone()
+	draw := clusteredDraw(2000, 0.1)
+	paths := map[int32]bool{}
+	const passes = 24
+	refreshed, wide := 0, 0
+	rescans := tr.vs.rescans
+	after := false // the previous pass rescanned
+	for first := tr.Compressions(); tr.Compressions() < first+passes; {
+		before := tr.Compressions()
+		draw(rng, p)
+		v := cost()
+		twin.vs.invalidate()
+		for _, x := range []*Tree{tr, twin} {
+			if err := x.Insert(p, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if tr.Compressions() == before {
+			leaf, _ := descend(&tr.a, tr.g, p, 1)
+			paths[leaf] = true
+			continue
+		}
+		if !bytes.Equal(frame(t, tr), frame(t, twin)) {
+			t.Fatalf("pass %d evicted other leaves than a rescan does", tr.Compressions())
+		}
+		if !tr.vs.valid {
+			t.Fatalf("pass %d left the victim set invalid", tr.Compressions())
+		}
+		rescanned := tr.vs.rescans > rescans
+		if rescanned && after {
+			t.Fatalf("pass %d rescanned right after a rescan: a fresh set did not carry one pass", tr.Compressions())
+		}
+		if !rescanned {
+			refreshed++
+		}
+		if len(paths) > pathsBefore {
+			wide++
+		}
+		rescans, after = tr.vs.rescans, rescanned
+		clear(paths)
+	}
+	if wide < passes*3/4 {
+		t.Fatalf("only %d of %d passes followed inserts on more than %d paths; the schedule no longer tests the case", wide, passes, pathsBefore)
+	}
+	if refreshed < passes*3/4 {
+		t.Errorf("%d of %d passes refreshed the carried victim set, want at least three in four", refreshed, passes)
+	}
+}
+
+// pathsBefore is the size of the insert-path buffer the dirty marks
+// replaced: one more distinct path between two passes overflowed it.
+const pathsBefore = 64

@@ -185,6 +185,7 @@ func (c Config) validate() error {
 // with the snapshot-publishing machinery in core).
 type Tree struct {
 	cfg       Config
+	g         *grid // the descent's bisection grid, shared with snapshots and clones
 	a         arena
 	nodeCount int
 	thSSE     float64 // lazy partitioning threshold; 0 until first compression
@@ -213,6 +214,7 @@ func New(cfg Config) (*Tree, error) {
 	cfg.Region = cfg.Region.Clone()
 	return &Tree{
 		cfg:           cfg,
+		g:             newGrid(cfg.Region, cfg.MaxDepth),
 		a:             arena{nodes: []node{{parent: noParent}}},
 		nodeCount:     1,
 		childCapacity: 1 << uint(cfg.Region.Dims()),
@@ -279,21 +281,12 @@ func (t *Tree) Insert(p geom.Point, value float64) error {
 	if math.IsNaN(value) || math.IsInf(value, 0) {
 		return fmt.Errorf("quadtree: cost value must be finite, got %g", value)
 	}
-	// Clamp into, and narrow the block bounds inside, stack buffers (heap
-	// ones past 8 dimensions): Insert allocates only when it grows the
-	// arena. NarrowTo is Child's midpoint expression, so the path is the
-	// one a fresh Rect per level would take.
-	var pbuf, lobuf, hibuf [8]float64
-	var q, lo, hi geom.Point
-	if n := len(p); n <= len(pbuf) {
-		q, lo, hi = pbuf[:n], lobuf[:n], hibuf[:n]
-	} else {
-		q, lo, hi = make(geom.Point, n), make(geom.Point, n), make(geom.Point, n)
-	}
-	t.cfg.Region.ClampInto(q, p)
-	copy(lo, t.cfg.Region.Lo)
-	copy(hi, t.cfg.Region.Hi)
-	p, region := q, geom.Rect{Lo: lo, Hi: hi}
+	// The grid resolves the first D levels' quadrant indices at once;
+	// below D the block bounds narrow in stack buffers (heap ones past 8
+	// dimensions), so Insert allocates only when it grows the arena.
+	code := t.g.path(p)
+	var qbuf, lobuf, hibuf [8]float64
+	var q, lo, hi []float64
 
 	th := t.Threshold()
 	clock := t.a.clock
@@ -307,20 +300,28 @@ func (t *Tree) Insert(p geom.Point, value float64) error {
 			deferred = true
 			break
 		}
-		idx := region.ChildIndex(p)
+		var idx uint32
+		if depth < t.g.depth {
+			idx = t.g.quadrant(code, depth)
+		} else {
+			if depth == t.g.depth {
+				q, lo, hi = scratch(len(p), &qbuf, &lobuf, &hibuf)
+				t.g.block(p, code, q, lo, hi)
+			}
+			idx = bisect(q, lo, hi)
+		}
 		child := t.a.child(cn, idx)
 		if child < 0 {
 			child = t.a.addChild(cn, idx)
 			t.nodeCount++
 		}
-		region.NarrowTo(idx)
 		cn = child
 		t.a.add(cn, value)
 	}
 	if t.a.clock < clock {
 		t.vs.invalidate() // restamped: the carried stamps are stale
 	}
-	t.vs.record(cn)
+	t.vs.touch(&t.a, cn)
 	t.inserts++
 	if deferred {
 		t.deferredInserts++
@@ -353,7 +354,7 @@ func (t *Tree) Predict(p geom.Point) (value float64, ok bool) {
 // it falls back to the root average so that predictions are available from
 // the very first observation.
 func (t *Tree) PredictBeta(p geom.Point, beta int) (value float64, ok bool) {
-	return predictBeta(&t.a, t.cfg.Region, p, beta)
+	return predictBeta(&t.a, t.g, p, beta)
 }
 
 // Estimate is a prediction with its supporting evidence: the block's mean,
@@ -383,55 +384,46 @@ func finiteAvg(a *arena, n int32) (float64, bool) {
 // PredictEstimate is PredictBeta returning the full Estimate. ok is false
 // only when the tree has seen no data at all.
 func (t *Tree) PredictEstimate(p geom.Point, beta int) (Estimate, bool) {
-	return predictEstimate(&t.a, t.cfg.Region, p, beta)
+	return predictEstimate(&t.a, t.g, p, beta)
 }
 
 // PredictDepth returns, alongside the prediction, the depth of the block the
 // prediction was taken from. Useful for diagnostics and tests.
 func (t *Tree) PredictDepth(p geom.Point, beta int) (value float64, depth int, ok bool) {
-	return predictDepth(&t.a, t.cfg.Region, p, beta)
+	return predictDepth(&t.a, t.g, p, beta)
 }
 
-// The prediction algorithms take the arena and config explicitly so that
+// The prediction algorithms take the arena and grid explicitly so that
 // Tree and the immutable Snapshot share one implementation of the hot path.
 
-// descend clamps p into region and walks from the root to the deepest block
-// containing it, returning the lowest slot whose count is at least beta and
-// its depth (Fig. 3's search). This is the hot path every prediction pays,
-// so it avoids the conveniences the mutation paths use: the arena slices are
-// hoisted into locals, each node is loaded exactly once per level, the child
-// binary search is inlined over the shared kids slice, and the clamped point
-// and the region bounds live in stack scratch buffers (heap ones past 8
-// dimensions) instead of a clamped copy plus a fresh Rect per level with
-// geom.Rect.Child. The clamp is geom.Rect.ClampInto and the midpoint
-// arithmetic is the same expression Rect.ChildIndex and Rect.Child evaluate,
-// so the descent visits exactly the slots the allocating version would.
-func descend(a *arena, region geom.Rect, p geom.Point, beta int) (best int32, bestDepth int) {
+// descend clamps p into the region and walks from the root to the deepest
+// block containing it, returning the lowest slot whose count is at least
+// beta and its depth (Fig. 3's search). This is the hot path every
+// prediction pays, so it avoids the conveniences the mutation paths use:
+// the arena slices are hoisted into locals, each node is loaded exactly
+// once per level, and the child binary search is inlined over the shared
+// kids slice. The quadrant index of each level comes from the tree's
+// bisection grid (see grid), which resolves the point's cell along every
+// dimension once, so the first D levels evaluate no midpoint at all; they
+// are the slots geom.Rect.ChildIndex and Child would visit, since the
+// grid's boundaries are their midpoints bit for bit. A descent that
+// reaches depth D and can go on continues in descendPast.
+func descend(a *arena, g *grid, p geom.Point, beta int) (best int32, bestDepth int) {
 	nodes, kids := a.nodes, a.kids
-	var qbuf, lobuf, hibuf, midbuf [8]float64
-	var q, lo, hi, mids []float64
-	if n := len(region.Lo); n <= len(lobuf) && len(p) <= len(qbuf) {
-		q, lo, hi, mids = qbuf[:len(p)], lobuf[:n], hibuf[:n], midbuf[:n]
-	} else {
-		q, lo, hi, mids = make([]float64, len(p)), make([]float64, n), make([]float64, n), make([]float64, n)
-	}
-	region.ClampInto(q, p)
-	copy(lo, region.Lo)
-	copy(hi, region.Hi)
+	code := g.path(p)
 	cn := int32(0)
 	for d := 0; ; d++ {
 		nd := &nodes[cn]
 		if nd.count >= int64(beta) {
 			best, bestDepth = cn, d
 		}
-		var idx uint32
-		for i, v := range q {
-			mid := lo[i] + (hi[i]-lo[i])/2
-			mids[i] = mid
-			if v >= mid {
-				idx |= 1 << uint(i)
-			}
+		if nd.kidLen == 0 {
+			return best, bestDepth
 		}
+		if d == g.depth {
+			return descendPast(a, g, p, code, cn, d, beta, best, bestDepth)
+		}
+		idx := g.quadrant(code, d)
 		l, h := nd.kidOff, nd.kidOff+nd.kidLen
 		for l < h {
 			m := (l + h) >> 1
@@ -444,38 +436,50 @@ func descend(a *arena, region geom.Rect, p geom.Point, beta int) (best int32, be
 		if l >= nd.kidOff+nd.kidLen || kids[l].idx != idx {
 			return best, bestDepth
 		}
-		for i := range mids {
-			if idx&(1<<uint(i)) != 0 {
-				lo[i] = mids[i]
-			} else {
-				hi[i] = mids[i]
-			}
-		}
 		cn = kids[l].ref
 	}
 }
 
+// descendPast continues descend below the grid, from the slot cn at depth
+// d = D whose summary descend has already weighed: the block bounds start
+// at the grid cell's and narrow by the midpoint arithmetic, in scratch
+// buffers on the stack up to 8 dimensions.
+func descendPast(a *arena, g *grid, p geom.Point, code uint64, cn int32, d, beta int, best int32, bestDepth int) (int32, int) {
+	var qbuf, lobuf, hibuf [8]float64
+	q, lo, hi := scratch(len(p), &qbuf, &lobuf, &hibuf)
+	g.block(p, code, q, lo, hi)
+	for {
+		if cn = a.child(cn, bisect(q, lo, hi)); cn < 0 {
+			return best, bestDepth
+		}
+		d++
+		if a.nodes[cn].count >= int64(beta) {
+			best, bestDepth = cn, d
+		}
+	}
+}
+
 // predictBeta implements Fig. 3 over an arena.
-func predictBeta(a *arena, region geom.Rect, p geom.Point, beta int) (value float64, ok bool) {
+func predictBeta(a *arena, g *grid, p geom.Point, beta int) (value float64, ok bool) {
 	if a.nodes[0].count == 0 {
 		return 0, false
 	}
 	if beta < 1 {
 		beta = 1
 	}
-	best, _ := descend(a, region, p, beta)
+	best, _ := descend(a, g, p, beta)
 	return finiteAvg(a, best)
 }
 
 // predictEstimate implements PredictEstimate over an arena.
-func predictEstimate(a *arena, region geom.Rect, p geom.Point, beta int) (Estimate, bool) {
+func predictEstimate(a *arena, g *grid, p geom.Point, beta int) (Estimate, bool) {
 	if a.nodes[0].count == 0 {
 		return Estimate{}, false
 	}
 	if beta < 1 {
 		beta = 1
 	}
-	best, bestDepth := descend(a, region, p, beta)
+	best, bestDepth := descend(a, g, p, beta)
 	var std float64
 	if a.nodes[best].count > 0 {
 		std = math.Sqrt(a.sse(best) / float64(a.nodes[best].count))
@@ -493,14 +497,14 @@ func predictEstimate(a *arena, region geom.Rect, p geom.Point, beta int) (Estima
 }
 
 // predictDepth implements PredictDepth over an arena.
-func predictDepth(a *arena, region geom.Rect, p geom.Point, beta int) (value float64, depth int, ok bool) {
+func predictDepth(a *arena, g *grid, p geom.Point, beta int) (value float64, depth int, ok bool) {
 	if a.nodes[0].count == 0 {
 		return 0, 0, false
 	}
 	if beta < 1 {
 		beta = 1
 	}
-	best, bestDepth := descend(a, region, p, beta)
+	best, bestDepth := descend(a, g, p, beta)
 	v, ok := finiteAvg(a, best)
 	return v, bestDepth, ok
 }

@@ -291,7 +291,11 @@ func frame(t *testing.T, tr *Tree) []byte {
 // the same bytes, a pass must leave every surviving node's S/C/SS as it
 // found them, every node's S/C/SS must match the brute-force aggregates of
 // the observations it absorbed, and ShrinkLoss must equal the sort-based
-// reference bit for bit.
+// reference bit for bit. The shape=1MiB cases take a 1 MiB tree's shape
+// in small: at least 36 victims a pass, and clustered inserts that touch
+// more than 64 paths between some passes, which must then be served by
+// the carried victim set; their Resizes never shrink the budget, so k
+// stays that large.
 func TestCompressMatchesOracle(t *testing.T) {
 	seed := int64(0)
 	for _, gamma := range []float64{0.001, 0.1, 1} {
@@ -308,10 +312,49 @@ func TestCompressMatchesOracle(t *testing.T) {
 							Gamma:       gamma,
 							Policy:      policy,
 							MemoryLimit: 60 * DefaultNodeBytes,
-						}, seed)
+						}, seed, oracleMix{draw: uniformDraw, steps: 600, extra: 6, inserts: 90, compresses: 4, floor: 1})
 					})
 				}
 			}
+		}
+	}
+	for _, policy := range []CompressionPolicy{CompressSSEG, CompressCount} {
+		seed++
+		seed := seed
+		t.Run(fmt.Sprintf("shape=1MiB/%v/MLQ-E/d=2", policy), func(t *testing.T) {
+			checkOracle(t, Config{
+				Region:      geom.UnitCube(2),
+				Strategy:    Eager,
+				MaxDepth:    6,
+				Gamma:       0.06,
+				Policy:      policy,
+				MemoryLimit: 600 * DefaultNodeBytes,
+			}, seed, oracleMix{draw: clusteredDraw(1000, 0.06), steps: 2000, inserts: 98, compresses: 1, floor: 60, refreshes: 4})
+		})
+	}
+}
+
+// uniformDraw draws p uniformly from the unit cube.
+func uniformDraw(r *rand.Rand, p geom.Point) {
+	for i := range p {
+		p[i] = r.Float64()
+	}
+}
+
+// clusteredDraw returns a draw of points normally scattered, by sd, around
+// a centre in the unit cube that jumps to a fresh uniform draw every run
+// points: a drifting hot region.
+func clusteredDraw(run int, sd float64) func(r *rand.Rand, p geom.Point) {
+	var centre geom.Point
+	n := 0
+	return func(r *rand.Rand, p geom.Point) {
+		if n%run == 0 {
+			centre = make(geom.Point, len(p))
+			uniformDraw(r, centre)
+		}
+		n++
+		for i := range p {
+			p[i] = centre[i] + r.NormFloat64()*sd
 		}
 	}
 }
@@ -326,7 +369,25 @@ func roundTrip(t *testing.T, tr *Tree) *Tree {
 	return out
 }
 
-func checkOracle(t *testing.T, cfg Config, seed int64) {
+// oracleMix shapes checkOracle's schedule.
+type oracleMix struct {
+	draw  func(r *rand.Rand, p geom.Point) // an observation's point
+	steps int
+	// extra is the percentage of steps that Merge, Clone or round-trip,
+	// a third each; of the others, inserts and compresses are the
+	// percentages that insert and that compress, and the rest Resize.
+	extra, inserts, compresses int
+	// floor sets the smallest Resize limit, floor/60 of the budget; the
+	// largest is twice the budget.
+	floor int
+	// refreshes is how many passes that followed inserts on more than 64
+	// distinct paths must at least have been served by the carried
+	// victim set rather than a rescan.
+	refreshes int
+}
+
+// checkOracle runs the mix on cfg.
+func checkOracle(t *testing.T, cfg Config, seed int64, mix oracleMix) {
 	tr := mustTree(t, cfg)
 	ref := mustTree(t, cfg)
 	rng := rand.New(rand.NewSource(seed))
@@ -340,9 +401,7 @@ func checkOracle(t *testing.T, cfg Config, seed int64) {
 	// returns it with that index.
 	observe := func(r *rand.Rand) (geom.Point, float64, int) {
 		p := make(geom.Point, cfg.Region.Dims())
-		for i := range p {
-			p[i] = r.Float64()
-		}
+		mix.draw(r, p)
 		v := r.Float64() * 100
 		if coarse {
 			v = float64(r.Intn(3))
@@ -363,8 +422,13 @@ func checkOracle(t *testing.T, cfg Config, seed int64) {
 			pass()
 		}
 	}
-	for step := 0; step < 600; step++ {
-		passes := tr.Compressions()
+	// paths holds the deepest slot of every insert since the last pass;
+	// a refresh counts when inserts on more than pathsBefore paths
+	// preceded it.
+	paths := map[int32]bool{}
+	refreshed := 0
+	for step := 0; step < mix.steps; step++ {
+		passes, rescans, same := tr.Compressions(), tr.vs.rescans, tr
 		var pre map[string][3]uint64
 		// pass runs the oracle on ref, first recording the summaries it
 		// will have to leave alone.
@@ -372,8 +436,8 @@ func checkOracle(t *testing.T, cfg Config, seed int64) {
 			pre = summaries(ref)
 			oracleCompress(ref)
 		}
-		if x := extra.Intn(100); x < 6 {
-			switch x / 2 {
+		if x := extra.Intn(100); x < mix.extra {
+			switch x * 3 / mix.extra {
 			case 0:
 				side := mustTree(t, Config{Region: cfg.Region, MaxDepth: cfg.MaxDepth, MemoryLimit: 1 << 20})
 				sideAb := absorbed{}
@@ -398,20 +462,25 @@ func checkOracle(t *testing.T, cfg Config, seed int64) {
 			}
 		} else {
 			switch r := rng.Intn(100); {
-			case r < 90:
+			case r < mix.inserts:
 				p, v, i := observe(rng)
 				if err := tr.Insert(p, v); err != nil {
 					t.Fatal(err)
 				}
 				held(func() error { return ref.Insert(p, v) }, pass)
 				ab.track(tr, p, i)
-			case r < 94:
+				if tr.Compressions() == passes {
+					leaf, _ := descend(&tr.a, tr.g, p, 1)
+					paths[leaf] = true
+				}
+			case r < mix.inserts+mix.compresses:
 				tr.Compress()
 				pass()
 			default:
-				// Shrinks to as little as one node make large k; grows
-				// give the tree room to rebuild.
-				limit := DefaultNodeBytes * (1 + rng.Intn(120))
+				// Shrinks to floor/60 of the budget (one node in the
+				// 60-node cases) make large k; grows give the tree room
+				// to rebuild.
+				limit := cfg.MemoryLimit / 60 * (mix.floor + rng.Intn(121-mix.floor))
 				if err := tr.Resize(limit); err != nil {
 					t.Fatal(err)
 				}
@@ -429,6 +498,12 @@ func checkOracle(t *testing.T, cfg Config, seed int64) {
 		ab.check(t, tr, vals)
 		if (pre != nil) != (tr.Compressions() != passes) {
 			t.Fatalf("step %d: tree ran %d passes, oracle ran one: %v", step, tr.Compressions()-passes, pre != nil)
+		}
+		if tr.Compressions() != passes || tr != same {
+			if tr == same && tr.Compressions() == passes+1 && tr.vs.rescans == rescans && len(paths) > pathsBefore {
+				refreshed++
+			}
+			clear(paths)
 		}
 		if !bytes.Equal(frame(t, tr), frame(t, ref)) {
 			t.Fatalf("step %d: tree and oracle diverged after %d passes", step, tr.Compressions())
@@ -450,5 +525,8 @@ func checkOracle(t *testing.T, cfg Config, seed int64) {
 	}
 	if tr.Compressions() == 0 {
 		t.Fatal("the mix never compressed")
+	}
+	if refreshed < mix.refreshes {
+		t.Fatalf("%d passes after inserts on more than 64 paths refreshed the carried victim set, want at least %d", refreshed, mix.refreshes)
 	}
 }

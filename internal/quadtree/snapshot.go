@@ -16,6 +16,7 @@ import (
 // nothing mutates it after construction.
 type Snapshot struct {
 	cfg           Config
+	g             *grid
 	a             arena
 	nodeCount     int
 	thSSE         float64
@@ -32,6 +33,7 @@ func (t *Tree) Snapshot() *Snapshot {
 	cfg.Region = t.cfg.Region.Clone()
 	return &Snapshot{
 		cfg:           cfg,
+		g:             t.g,
 		a:             t.a.clone(),
 		nodeCount:     t.nodeCount,
 		thSSE:         t.thSSE,
@@ -61,22 +63,22 @@ func (s *Snapshot) Inserts() int64 { return s.inserts }
 
 // Predict estimates the cost at query point p using the snapshot's default β.
 func (s *Snapshot) Predict(p geom.Point) (value float64, ok bool) {
-	return predictBeta(&s.a, s.cfg.Region, p, s.cfg.Beta)
+	return predictBeta(&s.a, s.g, p, s.cfg.Beta)
 }
 
 // PredictBeta is the Fig. 3 prediction algorithm against the frozen tree.
 func (s *Snapshot) PredictBeta(p geom.Point, beta int) (value float64, ok bool) {
-	return predictBeta(&s.a, s.cfg.Region, p, beta)
+	return predictBeta(&s.a, s.g, p, beta)
 }
 
 // PredictEstimate is PredictBeta returning the full Estimate.
 func (s *Snapshot) PredictEstimate(p geom.Point, beta int) (Estimate, bool) {
-	return predictEstimate(&s.a, s.cfg.Region, p, beta)
+	return predictEstimate(&s.a, s.g, p, beta)
 }
 
 // PredictDepth returns the prediction and the depth it was taken from.
 func (s *Snapshot) PredictDepth(p geom.Point, beta int) (value float64, depth int, ok bool) {
-	return predictDepth(&s.a, s.cfg.Region, p, beta)
+	return predictDepth(&s.a, s.g, p, beta)
 }
 
 // Walk visits every node depth-first, children in creation order, exactly

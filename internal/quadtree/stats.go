@@ -311,6 +311,7 @@ func (t *Tree) Clone() *Tree {
 	// clone separately if it should be observable.
 	clone := &Tree{
 		cfg:             t.cfg,
+		g:               t.g,
 		a:               t.a.clone(),
 		nodeCount:       t.nodeCount,
 		thSSE:           t.thSSE,
