@@ -45,22 +45,35 @@ type Rect struct {
 // NewRect returns a rectangle spanning [lo, hi) and validates that the bounds
 // are well formed.
 func NewRect(lo, hi Point) (Rect, error) {
-	if len(lo) != len(hi) {
-		return Rect{}, fmt.Errorf("geom: bound dimensionality mismatch: %d vs %d", len(lo), len(hi))
+	r := Rect{Lo: lo, Hi: hi}
+	if err := r.Validate(); err != nil {
+		return Rect{}, err
 	}
-	if len(lo) == 0 {
-		return Rect{}, fmt.Errorf("geom: zero-dimensional rectangle")
+	return r.Clone(), nil
+}
+
+// Validate reports whether r is a well-formed region: Lo and Hi of one
+// nonzero dimensionality and, along every dimension, Lo < Hi (neither NaN)
+// with finite bounds and a finite span Hi−Lo. Those are what the recursive
+// midpoint subdivision needs: an inverted extent has no interior, and an
+// infinite one splits at NaN (Inf/2 − Inf).
+func (r Rect) Validate() error {
+	if len(r.Lo) != len(r.Hi) {
+		return fmt.Errorf("geom: bound dimensionality mismatch: %d vs %d", len(r.Lo), len(r.Hi))
 	}
-	for i := range lo {
-		if !(lo[i] < hi[i]) { // also rejects NaN
-			return Rect{}, fmt.Errorf("geom: dimension %d: lo=%g must be < hi=%g", i, lo[i], hi[i])
+	if len(r.Lo) == 0 {
+		return fmt.Errorf("geom: zero-dimensional rectangle")
+	}
+	for i, lo := range r.Lo {
+		hi := r.Hi[i]
+		if !(lo < hi) { // also rejects NaN
+			return fmt.Errorf("geom: dimension %d: lo=%g must be < hi=%g", i, lo, hi)
 		}
-		if math.IsInf(lo[i], 0) || math.IsInf(hi[i], 0) || math.IsInf(hi[i]-lo[i], 0) {
-			// Infinite spans break midpoint subdivision (Inf/2 - Inf = NaN).
-			return Rect{}, fmt.Errorf("geom: dimension %d: bounds [%g, %g) must have a finite span", i, lo[i], hi[i])
+		if math.IsInf(lo, 0) || math.IsInf(hi, 0) || math.IsInf(hi-lo, 0) {
+			return fmt.Errorf("geom: dimension %d: bounds [%g, %g) must have a finite span", i, lo, hi)
 		}
 	}
-	return Rect{Lo: lo.Clone(), Hi: hi.Clone()}, nil
+	return nil
 }
 
 // UnitCube returns the rectangle [0,1)^d.

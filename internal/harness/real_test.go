@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -82,29 +83,53 @@ func TestFig9GridSmall(t *testing.T) {
 	}
 }
 
+// TestFig10RealShape runs the same seeded Fig. 10 measurement three times,
+// each on a freshly built substrate, and bounds the median of each
+// method's PC and MUC: one host stall inside a timed call or compression
+// moves one run's wall-time ratio, not the median of three. The shape of
+// every run is checked as it stands; the compression counts, which no
+// clock decides, must agree across the runs.
 func TestFig10RealShape(t *testing.T) {
-	_, spatial := testUDFs(t)
-	opts := realOpts()
-	opts.Queries = 600
-	rows, err := Fig10Real(spatial, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows", len(rows))
-	}
-	for _, r := range rows {
-		if r.Workload != "WIN" {
-			t.Errorf("workload %q", r.Workload)
+	const runs = 3
+	pc, muc := map[Method][]float64{}, map[Method][]float64{}
+	compressions := map[Method]int64{}
+	for i := 0; i < runs; i++ {
+		_, spatial := testUDFs(t)
+		opts := realOpts()
+		opts.Queries = 600
+		rows, err := Fig10Real(spatial, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if r.PC <= 0 || r.MUC <= 0 {
-			t.Errorf("%v: empty breakdown %+v", r.Method, r)
+		if len(rows) != 2 {
+			t.Fatalf("got %d rows", len(rows))
 		}
+		for _, r := range rows {
+			if r.Workload != "WIN" {
+				t.Errorf("workload %q", r.Workload)
+			}
+			if r.PC <= 0 || r.MUC <= 0 {
+				t.Errorf("%v: empty breakdown %+v", r.Method, r)
+			}
+			if c, ok := compressions[r.Method]; ok && c != r.Compressions {
+				t.Errorf("%v: %d compressions, %d in an earlier run of the same seed", r.Method, r.Compressions, c)
+			}
+			compressions[r.Method] = r.Compressions
+			pc[r.Method] = append(pc[r.Method], r.PC)
+			muc[r.Method] = append(muc[r.Method], r.MUC)
+		}
+	}
+	median := func(v []float64) float64 {
+		v = slices.Clone(v)
+		slices.Sort(v)
+		return v[len(v)/2]
+	}
+	for m := range pc {
 		// The paper's key claim: modeling overhead is a small fraction
 		// of real UDF execution cost (PC ~0.02%, MUC <= 1.2%). Our
 		// simulated UDFs are faster than Oracle's, so allow up to 20%.
-		if r.PC > 0.2 || r.MUC > 0.5 {
-			t.Errorf("%v: overhead too high: %+v", r.Method, r)
+		if p, u := median(pc[m]), median(muc[m]); p > 0.2 || u > 0.5 {
+			t.Errorf("%v: overhead too high: median PC %g, MUC %g over runs PC %v, MUC %v", m, p, u, pc[m], muc[m])
 		}
 	}
 }

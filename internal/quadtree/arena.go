@@ -13,8 +13,9 @@ import (
 // three things at once:
 //
 //   - the hot Predict descent walks two flat slices instead of chasing heap
-//     pointers, and finds children by binary search over a span sorted by
-//     quadrant index instead of a linear scan;
+//     pointers, and finds a child in a span sorted by quadrant index, at
+//     the quadrant's own offset when the span is full, instead of by a
+//     linear scan;
 //   - per-node Go memory shrinks from ~56 bytes + a 16-byte child entry +
 //     one heap allocation per node to a 40-byte slot + an 8-byte child
 //     entry, all in two allocations per tree;
@@ -23,7 +24,7 @@ import (
 //     epoch/snapshot read path in core affordable.
 //
 // Two orderings coexist deliberately. Spans are *stored* sorted by quadrant
-// index so lookups can binary-search. Everything that *enumerates* children
+// index so lookups can index a full span and binary-search a partial one. Everything that *enumerates* children
 // — serialization, SSENC sums, Walk, Merge — visits them in creation order
 // (ascending creation stamp, see creationOrder), which is exactly the order
 // the seed implementation's append-built child slices had. That equivalence
@@ -83,6 +84,14 @@ type arena struct {
 	leaves int
 	// clock is the stamp of the most recently created node.
 	clock uint32
+	// full is 2^dims, the length of a span that holds every quadrant.
+	full int32
+}
+
+// newArena returns the arena of a dims-dimensional tree holding only the
+// root.
+func newArena(dims int) arena {
+	return arena{nodes: []node{{parent: noParent}}, full: 1 << uint(dims)}
 }
 
 // span returns n's child entries, sorted by quadrant index.
@@ -91,10 +100,15 @@ func (a *arena) span(n int32) []kidRef {
 	return a.kids[nd.kidOff : nd.kidOff+nd.kidLen : nd.kidOff+nd.kidLen]
 }
 
-// child returns the slot of n's child with the given quadrant index, or -1.
-// The span is sorted by index, so the lookup is a binary search.
+// child returns the slot of n's child with the quadrant index idx < 2^dims,
+// or -1. A span is strictly sorted by index and every index is below
+// 2^dims, so a full span holds quadrant idx at offset idx; a partial one
+// is binary-searched.
 func (a *arena) child(n int32, idx uint32) int32 {
 	nd := &a.nodes[n]
+	if nd.kidLen == a.full {
+		return a.kids[nd.kidOff+int32(idx)].ref
+	}
 	lo, hi := nd.kidOff, nd.kidOff+nd.kidLen
 	for lo < hi {
 		mid := (lo + hi) >> 1

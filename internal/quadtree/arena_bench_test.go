@@ -2,6 +2,7 @@ package quadtree
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"unsafe"
@@ -21,12 +22,12 @@ func linearChild(a *arena, n int32, idx uint32) int32 {
 	return -1
 }
 
-// spanArena builds a one-level arena whose root has width children with
-// quadrant indices 0..width-1, inserted in random order so the sorted-insert
-// path of addChild is exercised.
-func spanArena(b *testing.B, width int) *arena {
+// spanArena builds a one-level arena of a dims-dimensional tree whose root
+// has width children with quadrant indices 0..width-1, inserted in random
+// order so the sorted-insert path of addChild is exercised.
+func spanArena(b *testing.B, width, dims int) *arena {
 	b.Helper()
-	a := &arena{nodes: []node{{parent: noParent}}}
+	a := newArena(dims)
 	perm := rand.New(rand.NewSource(int64(width))).Perm(width)
 	for _, idx := range perm {
 		a.addChild(0, uint32(idx))
@@ -34,31 +35,40 @@ func spanArena(b *testing.B, width int) *arena {
 	if got := int(a.nodes[0].kidLen); got != width {
 		b.Fatalf("built span of %d entries, want %d", got, width)
 	}
-	return a
+	return &a
 }
 
-// BenchmarkChildLookup compares the binary search over the sorted span
-// against the linear scan it replaced, at the span widths a d-dimensional
-// tree produces (2^d children: d=2..4 for the paper's workloads, 6 for the
-// stress configs). The sorted order is maintained by addChild either way, so
-// the comparison isolates pure lookup cost on the Predict descent.
+// BenchmarkChildLookup compares the three lookups of a span of width
+// children, at the widths a d-dimensional tree's full spans have (2^d: d=2..4
+// for the paper's workloads, 6 for the stress configs): indexing the full
+// span of a d-dimensional tree, and the binary search and the linear scan
+// it replaced over the same entries in a (d+1)-dimensional tree, where
+// they fill half the quadrants. The sorted order is maintained by addChild
+// either way, so the comparison isolates pure lookup cost on the Predict
+// descent.
 func BenchmarkChildLookup(b *testing.B) {
 	for _, width := range []int{4, 16, 64} {
-		a := spanArena(b, width)
-		// Probe indices cycle through hits at every position plus one miss.
+		dims := bits.Len(uint(width)) - 1
+		full, half := spanArena(b, width, dims), spanArena(b, width, dims+1)
+		// Probe indices cycle through hits at every position plus, where
+		// the span is partial, one miss.
 		probes := make([]uint32, width+1)
-		for i := 0; i < width; i++ {
+		for i := range probes {
 			probes[i] = uint32(i)
 		}
-		probes[width] = uint32(width) // not present
+		b.Run(fmt.Sprintf("indexed-%d", width), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				full.child(0, probes[i%width])
+			}
+		})
 		b.Run(fmt.Sprintf("binary-%d", width), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				a.child(0, probes[i%len(probes)])
+				half.child(0, probes[i%len(probes)])
 			}
 		})
 		b.Run(fmt.Sprintf("linear-%d", width), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				linearChild(a, 0, probes[i%len(probes)])
+				linearChild(half, 0, probes[i%len(probes)])
 			}
 		})
 	}
@@ -67,13 +77,13 @@ func BenchmarkChildLookup(b *testing.B) {
 // TestLinearChildAgrees pins the baseline used by BenchmarkChildLookup to
 // the real lookup, so the benchmark always compares equivalent functions.
 func TestLinearChildAgrees(t *testing.T) {
-	a := &arena{nodes: []node{{parent: noParent}}}
+	a := newArena(5) // 16 of 32 quadrants: a binary-searched span
 	perm := rand.New(rand.NewSource(3)).Perm(16)
 	for _, idx := range perm {
 		a.addChild(0, uint32(idx))
 	}
 	for idx := uint32(0); idx < 18; idx++ {
-		if got, want := linearChild(a, 0, idx), a.child(0, idx); got != want {
+		if got, want := linearChild(&a, 0, idx), a.child(0, idx); got != want {
 			t.Errorf("linearChild(%d) = %d, child = %d", idx, got, want)
 		}
 	}

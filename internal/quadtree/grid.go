@@ -13,8 +13,9 @@ const gridLevels = 8
 // quadrant indices of a path fit one uint64. The grid stores them,
 // each evaluated by that expression from the two boundaries of its parent
 // block, so they are the very floats the descent computes. They are
-// monotone (b[c] ≤ b[c+1]: the rounded midpoint of lo < hi lies in
-// [lo, hi]), so the bisection path of a clamped coordinate q is the cell
+// monotone (b[c] ≤ b[c+1]: the rounded midpoint of finite lo < hi with a
+// finite span lies in [lo, hi], and New accepts no other region), so the
+// bisection path of a clamped coordinate q is the cell
 //
 //	c = max{c : b[c] ≤ q}
 //
@@ -22,13 +23,10 @@ const gridLevels = 8
 // to the upper half exactly when q ≥ the midpoint. The descent therefore
 // finds each coordinate's cell once, interleaves the cells' bits into the
 // path's quadrant indices, and reads one index per level, instead of
-// evaluating a midpoint per level
-// and dimension; below D it continues with the arithmetic from the cell's
-// stored bounds. A region whose boundaries are not monotone (an inverted
-// or non-finite extent) gets a grid of depth 0, so its whole descent is
-// the arithmetic. A grid is built in New and never changes; snapshots and
-// clones share it. It holds no observation, so it is not charged to
-// MemoryUsed.
+// evaluating a midpoint per level and dimension; below D it continues
+// with the arithmetic from the cell's stored bounds. A grid is built in
+// New and never changes; snapshots and clones share it. It holds no
+// observation, so it is not charged to MemoryUsed.
 type grid struct {
 	depth  int       // D: the levels the cells resolve
 	dims   int       // the region's dimensions
@@ -42,18 +40,11 @@ type grid struct {
 	spread []uint64
 }
 
-// newGrid returns the grid of the first min(maxDepth, gridLevels,
-// 64/dims) levels of region, or of none when they would not be monotone.
-func newGrid(region geom.Rect, maxDepth int) *grid {
-	if g := buildGrid(region, min(maxDepth, gridLevels, 64/region.Dims())); g.monotone() {
-		return g
-	}
-	return buildGrid(region, 0)
-}
-
-// buildGrid evaluates the boundaries of depth levels, coarsest level first,
+// newGrid returns the grid of the first min(maxDepth, gridLevels, 64/dims)
+// levels of region: it evaluates their boundaries coarsest level first,
 // each midpoint from its parent block's two boundaries.
-func buildGrid(region geom.Rect, depth int) *grid {
+func newGrid(region geom.Rect, maxDepth int) *grid {
+	depth := min(maxDepth, gridLevels, 64/region.Dims())
 	n := 1 << depth
 	g := &grid{
 		depth:  depth,
@@ -86,20 +77,6 @@ func (g *grid) dim(i int) []float64 {
 	return g.bounds[i*(g.cells+1) : (i+1)*(g.cells+1) : (i+1)*(g.cells+1)]
 }
 
-// monotone reports whether every dimension's boundaries ascend (ties
-// allowed); it is false for any NaN.
-func (g *grid) monotone() bool {
-	for i := range g.scale {
-		b := g.dim(i)
-		for c := 0; c < g.cells; c++ {
-			if !(b[c] <= b[c+1]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // cell returns the cell of the boundaries b that holds the clamped
 // coordinate q: max{c : b[c] ≤ q}, found from a guess by the scale and
 // corrected against the boundaries themselves, so the guess's rounding
@@ -124,12 +101,17 @@ func (g *grid) cell(b []float64, scale, q float64) int {
 
 // path clamps p into the region and returns its code: the quadrant
 // indices the descent takes at the grid's levels, level d's at bit
-// (D−1−d)·dims (see quadrant).
+// (D−1−d)·dims (see quadrant). Only a coordinate that is NaN or outside
+// [Lo, Hi) goes through geom.ClampCoord, which leaves every other one as
+// it is.
 func (g *grid) path(p geom.Point) (code uint64) {
 	n := g.cells
 	for i, v := range p {
 		b := g.bounds[i*(n+1) : (i+1)*(n+1)]
-		code |= g.spread[g.cell(b, g.scale[i], geom.ClampCoord(v, b[0], b[n]))] << uint(i)
+		if !(v >= b[0] && v < b[n]) {
+			v = geom.ClampCoord(v, b[0], b[n])
+		}
+		code |= g.spread[g.cell(b, g.scale[i], v)] << uint(i)
 	}
 	return code
 }

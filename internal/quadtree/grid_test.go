@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mlq/internal/geom"
@@ -20,8 +21,8 @@ func nextUp(v float64, n int) float64 {
 
 // gridRegion returns a d-dimensional region of the named shape. "mixed"
 // cycles its dimensions through a dyadic cube side, a non-dyadic extent, a
-// few-ulp-wide one and a subnormal one; "inverted" and "overflow" have no
-// monotone grid, so their descent is the arithmetic from the root.
+// few-ulp-wide one and a subnormal one; "inverted" and "overflow" (an
+// infinite span) are regions New rejects.
 func gridRegion(shape string, d int) geom.Rect {
 	r := geom.Rect{Lo: make(geom.Point, d), Hi: make(geom.Point, d)}
 	for i := range r.Lo {
@@ -80,7 +81,8 @@ func specialCoords(region geom.Rect, i int, rng *rand.Rand) []float64 {
 // MaxDepth 0 (the default, 6), 1, 6, 8, 9 and 64. The points mix uniform
 // draws with the coordinates the descent decides at, NaN and ±Inf among
 // them: NaN goes to the lower half at every level, ±Inf clamp onto the
-// region.
+// region. An inverted or infinite-span region must be rejected by New, as
+// Read rejects it.
 func TestGridDescentMatchesArithmetic(t *testing.T) {
 	seed := int64(0)
 	for _, shape := range []string{"mixed", "inverted", "overflow"} {
@@ -90,11 +92,15 @@ func TestGridDescentMatchesArithmetic(t *testing.T) {
 				region := gridRegion(shape, d)
 				cfg := Config{Region: region, MaxDepth: maxDepth, MemoryLimit: 1 << 26}
 				t.Run(fmt.Sprintf("%s/d=%d/depth=%d", shape, d, maxDepth), func(t *testing.T) {
+					if shape != "mixed" {
+						if _, err := New(cfg); err == nil {
+							t.Fatalf("New accepted the %s region %v", shape, region)
+						}
+						return
+					}
 					got, want := mustTree(t, cfg), mustTree(t, cfg)
-					if wantDepth := min(got.cfg.MaxDepth, gridLevels, 64/d); shape == "mixed" && got.g.depth != wantDepth {
+					if wantDepth := min(got.cfg.MaxDepth, gridLevels, 64/d); got.g.depth != wantDepth {
 						t.Fatalf("grid depth %d, want %d", got.g.depth, wantDepth)
-					} else if shape != "mixed" && got.g.depth != 0 {
-						t.Fatalf("a region without monotone boundaries got a grid of depth %d", got.g.depth)
 					}
 					rng := rand.New(rand.NewSource(seed))
 					specials := make([][]float64, d)
@@ -166,12 +172,12 @@ func sameAnswer(v float64, depth int, ok bool, wv float64, wd int, wok bool) boo
 }
 
 // FuzzDescentCells checks the grid's exactness argument on one dimension:
-// for finite bounds lo < hi with a finite span the boundaries ascend, and
-// then a coordinate's cell, the path's quadrant bits and the block the
-// descent continues from below the grid are those of depth sequential
-// bisections, each evaluating lo + (hi−lo)/2. Any other bounds must get
-// the depth-0 grid. Run with `go test -fuzz FuzzDescentCells
-// ./internal/quadtree`; the seed corpus runs under plain `go test`.
+// New accepts exactly the regions Read accepts (finite bounds lo < hi with
+// a finite span), and for each of them the boundaries ascend, and a coordinate's cell, the path's quadrant bits
+// and the block the descent continues from below the grid are those of
+// depth sequential bisections, each evaluating lo + (hi−lo)/2. Run with
+// `go test -fuzz FuzzDescentCells ./internal/quadtree`; the seed corpus
+// runs under plain `go test`.
 func FuzzDescentCells(f *testing.F) {
 	f.Add(0.0, 1000.0, 500.0, uint8(6))
 	f.Add(-3.7, 1e6, 499998.15, uint8(8))
@@ -182,14 +188,18 @@ func FuzzDescentCells(f *testing.F) {
 	f.Add(-1e308, 1e308, 0.0, uint8(8))
 	f.Add(5.0, 1.0, 3.0, uint8(4))
 	f.Fuzz(func(t *testing.T, lo, hi, v float64, depth uint8) {
-		if math.IsNaN(lo) || math.IsNaN(hi) || math.IsInf(lo, 0) || math.IsInf(hi, 0) {
-			t.Skip("the bounds must be finite")
+		region := geom.Rect{Lo: geom.Point{lo}, Hi: geom.Point{hi}}
+		_, newErr := New(Config{Region: region})
+		if _, readErr := geom.NewRect(region.Lo, region.Hi); (newErr == nil) != (readErr == nil) {
+			t.Fatalf("[%g, %g): New says %v, while Read's geom.NewRect says %v", lo, hi, newErr, readErr)
+		}
+		if newErr != nil {
+			return // no tree, and so no grid, is built for it
 		}
 		D := int(depth) % (gridLevels + 1)
-		region := geom.Rect{Lo: geom.Point{lo}, Hi: geom.Point{hi}}
 		g := newGrid(region, D)
-		if lo < hi && !math.IsInf(hi-lo, 0) && g.depth != D {
-			t.Fatalf("[%g, %g): boundaries of %d levels do not ascend", lo, hi, D)
+		if b := g.dim(0); !slices.IsSorted(b) {
+			t.Fatalf("[%g, %g): boundaries of %d levels do not ascend: %v", lo, hi, D, b)
 		}
 		q := geom.ClampCoord(v, lo, hi)
 		l, h, want := lo, hi, 0

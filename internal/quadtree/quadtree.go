@@ -145,6 +145,11 @@ func (c Config) validate() error {
 	if c.Region.Dims() > 20 {
 		return fmt.Errorf("quadtree: %d dimensions yields 2^%d children per node; at most 20 supported", c.Region.Dims(), c.Region.Dims())
 	}
+	// The rule Read applies through geom.NewRect: a region it could not
+	// read back is not one New builds.
+	if err := c.Region.Validate(); err != nil {
+		return fmt.Errorf("quadtree: Config.Region: %w", err)
+	}
 	// Beyond ~52 halvings a float64 interval's midpoint equals its lower
 	// bound, so depths past 64 are meaningless and only invite abuse
 	// (e.g. a corrupted serialized header making Insert build a
@@ -198,7 +203,6 @@ type Tree struct {
 	resizes         int64 // live-limit changes applied by Resize
 	ssegQueueDepth  int   // leaves competing in the latest compression
 	compressTime    time.Duration
-	childCapacity   uint32 // 2^d
 
 	vs victimSet // compression candidates carried between passes
 
@@ -213,11 +217,10 @@ func New(cfg Config) (*Tree, error) {
 	}
 	cfg.Region = cfg.Region.Clone()
 	return &Tree{
-		cfg:           cfg,
-		g:             newGrid(cfg.Region, cfg.MaxDepth),
-		a:             arena{nodes: []node{{parent: noParent}}},
-		nodeCount:     1,
-		childCapacity: 1 << uint(cfg.Region.Dims()),
+		cfg:       cfg,
+		g:         newGrid(cfg.Region, cfg.MaxDepth),
+		a:         newArena(cfg.Region.Dims()),
+		nodeCount: 1,
 	}, nil
 }
 
@@ -401,15 +404,16 @@ func (t *Tree) PredictDepth(p geom.Point, beta int) (value float64, depth int, o
 // beta and its depth (Fig. 3's search). This is the hot path every
 // prediction pays, so it avoids the conveniences the mutation paths use:
 // the arena slices are hoisted into locals, each node is loaded exactly
-// once per level, and the child binary search is inlined over the shared
-// kids slice. The quadrant index of each level comes from the tree's
+// once per level, and arena.child's lookup is inlined over the shared kids
+// slice: a full span is indexed by the quadrant, a partial one
+// binary-searched. The quadrant index of each level comes from the tree's
 // bisection grid (see grid), which resolves the point's cell along every
 // dimension once, so the first D levels evaluate no midpoint at all; they
 // are the slots geom.Rect.ChildIndex and Child would visit, since the
 // grid's boundaries are their midpoints bit for bit. A descent that
 // reaches depth D and can go on continues in descendPast.
 func descend(a *arena, g *grid, p geom.Point, beta int) (best int32, bestDepth int) {
-	nodes, kids := a.nodes, a.kids
+	nodes, kids, full := a.nodes, a.kids, a.full
 	code := g.path(p)
 	cn := int32(0)
 	for d := 0; ; d++ {
@@ -424,6 +428,10 @@ func descend(a *arena, g *grid, p geom.Point, beta int) (best int32, bestDepth i
 			return descendPast(a, g, p, code, cn, d, beta, best, bestDepth)
 		}
 		idx := g.quadrant(code, d)
+		if nd.kidLen == full {
+			cn = kids[nd.kidOff+int32(idx)].ref
+			continue
+		}
 		l, h := nd.kidOff, nd.kidOff+nd.kidLen
 		for l < h {
 			m := (l + h) >> 1

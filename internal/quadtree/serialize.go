@@ -156,8 +156,8 @@ func Read(r io.Reader) (*Tree, error) {
 		if err := read(&nd.sum, &nd.ss, &nd.count, &kids); err != nil {
 			return fmt.Errorf("quadtree: reading node: %w", err)
 		}
-		if kids > t.childCapacity {
-			return fmt.Errorf("quadtree: node claims %d children, capacity %d", kids, t.childCapacity)
+		if kids > uint32(t.a.full) {
+			return fmt.Errorf("quadtree: node claims %d children, capacity %d", kids, t.a.full)
 		}
 		for i := uint32(0); i < kids; i++ {
 			if depth+1 > int(maxDepth) {

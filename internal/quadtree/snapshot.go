@@ -15,15 +15,14 @@ import (
 // readers: any number of goroutines may use one Snapshot concurrently, since
 // nothing mutates it after construction.
 type Snapshot struct {
-	cfg           Config
-	g             *grid
-	a             arena
-	nodeCount     int
-	thSSE         float64
-	inserts       int64
-	compressions  int64
-	removedNodes  int64
-	childCapacity uint32
+	cfg          Config
+	g            *grid
+	a            arena
+	nodeCount    int
+	thSSE        float64
+	inserts      int64
+	compressions int64
+	removedNodes int64
 }
 
 // Snapshot returns an immutable copy of the tree's current state. The
@@ -32,15 +31,14 @@ func (t *Tree) Snapshot() *Snapshot {
 	cfg := t.cfg
 	cfg.Region = t.cfg.Region.Clone()
 	return &Snapshot{
-		cfg:           cfg,
-		g:             t.g,
-		a:             t.a.clone(),
-		nodeCount:     t.nodeCount,
-		thSSE:         t.thSSE,
-		inserts:       t.inserts,
-		compressions:  t.compressions,
-		removedNodes:  t.removedNodes,
-		childCapacity: t.childCapacity,
+		cfg:          cfg,
+		g:            t.g,
+		a:            t.a.clone(),
+		nodeCount:    t.nodeCount,
+		thSSE:        t.thSSE,
+		inserts:      t.inserts,
+		compressions: t.compressions,
+		removedNodes: t.removedNodes,
 	}
 }
 
@@ -84,7 +82,7 @@ func (s *Snapshot) PredictDepth(p geom.Point, beta int) (value float64, depth in
 // Walk visits every node depth-first, children in creation order, exactly
 // like Tree.Walk.
 func (s *Snapshot) Walk(fn func(Block) bool) {
-	walkArena(&s.a, s.cfg, s.childCapacity, fn)
+	walkArena(&s.a, s.cfg, fn)
 }
 
 // WriteTo serializes the snapshot in the same frame format as Tree.WriteTo;

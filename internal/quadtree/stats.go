@@ -48,14 +48,14 @@ func (b Block) SSE() float64 {
 // children in creation order. The callback returns false to stop the walk
 // early.
 func (t *Tree) Walk(fn func(Block) bool) {
-	walkArena(&t.a, t.cfg, t.childCapacity, fn)
+	walkArena(&t.a, t.cfg, fn)
 }
 
 // walkArena is the shared traversal behind Tree.Walk and Snapshot.Walk. It
 // allocates its creation-order views per node instead of using tree-owned
 // scratch, so callbacks may re-enter the tree and snapshots may be walked
 // concurrently.
-func walkArena(a *arena, cfg Config, childCapacity uint32, fn func(Block) bool) {
+func walkArena(a *arena, cfg Config, fn func(Block) bool) {
 	var rec func(n int32, region geom.Rect, depth int) bool
 	rec = func(n int32, region geom.Rect, depth int) bool {
 		nd := a.nodes[n]
@@ -66,7 +66,7 @@ func walkArena(a *arena, cfg Config, childCapacity uint32, fn func(Block) bool) 
 			SumSquares: nd.ss,
 			Count:      nd.count,
 			Children:   int(nd.kidLen),
-			Full:       uint32(nd.kidLen) == childCapacity,
+			Full:       nd.kidLen == a.full,
 		}
 		if !fn(b) {
 			return false
@@ -117,16 +117,16 @@ func ssenc(a *arena, n int32, scratch []kidRef) (float64, []kidRef) {
 // TSSENC returns the tree's total SSENC over non-full nodes (Eq. 6), the
 // quantity compression minimizes the increase of.
 func (t *Tree) TSSENC() float64 {
-	return tssenc(&t.a, t.childCapacity)
+	return tssenc(&t.a)
 }
 
-func tssenc(a *arena, childCapacity uint32) float64 {
+func tssenc(a *arena) float64 {
 	var total float64
 	var scratch []kidRef
 	var rec func(n int32)
 	rec = func(n int32) {
 		nd := a.nodes[n]
-		if uint32(nd.kidLen) != childCapacity {
+		if nd.kidLen != a.full {
 			var v float64
 			v, scratch = ssenc(a, n, scratch)
 			total += v
@@ -253,8 +253,8 @@ func (t *Tree) Validate() error {
 		var childCount int64
 		var childSS float64
 		for i, c := range span {
-			if c.idx >= t.childCapacity {
-				return fmt.Errorf("child index %d out of range (capacity %d)", c.idx, t.childCapacity)
+			if c.idx >= uint32(t.a.full) {
+				return fmt.Errorf("child index %d out of range (capacity %d)", c.idx, t.a.full)
 			}
 			if i > 0 && span[i-1].idx >= c.idx {
 				return fmt.Errorf("span of slot %d not strictly sorted by quadrant index at position %d", n, i)
@@ -323,7 +323,6 @@ func (t *Tree) Clone() *Tree {
 		resizes:         t.resizes,
 		ssegQueueDepth:  t.ssegQueueDepth,
 		compressTime:    t.compressTime,
-		childCapacity:   t.childCapacity,
 	}
 	clone.cfg.Region = t.cfg.Region.Clone()
 	return clone
