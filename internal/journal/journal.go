@@ -67,6 +67,7 @@ type Journal struct {
 	max     int
 	sync    bool
 	ev      *events.Recorder
+	frame   []byte // Append's encoding buffer, reused across calls
 }
 
 // Option configures Create.
@@ -164,16 +165,19 @@ func (j *Journal) Append(point []float64, value float64) error {
 	if math.IsNaN(value) || math.IsInf(value, 0) {
 		return fmt.Errorf("journal: value must be finite, got %g", value)
 	}
-	payload := make([]byte, 1+8*len(point)+8)
+	size := recordSize(len(point))
+	if cap(j.frame) < size {
+		j.frame = make([]byte, size)
+	}
+	frame := j.frame[:size]
+	payload := frame[8:]
 	payload[0] = byte(len(point))
 	for i, v := range point {
 		binary.LittleEndian.PutUint64(payload[1+8*i:], math.Float64bits(v))
 	}
 	binary.LittleEndian.PutUint64(payload[1+8*len(point):], math.Float64bits(value))
-	frame := make([]byte, 8+len(payload))
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[8:], payload)
 	if _, err := j.f.Write(frame); err != nil {
 		return fmt.Errorf("journal: appending record: %w", err)
 	}

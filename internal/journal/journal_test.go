@@ -56,6 +56,22 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendAllocs pins the append path: on a journal that is not full,
+// Append encodes each record into the journal's reused buffer and
+// allocates nothing.
+func TestAppendAllocs(t *testing.T) {
+	j := tmpJournal(t)
+	p := []float64{0.25, 0.75}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := j.Append(p, 1.5); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Append allocates %v times per call, want 0", allocs)
+	}
+}
+
 func TestAppendValidation(t *testing.T) {
 	j := tmpJournal(t)
 	if err := j.Append(nil, 1); err == nil {

@@ -11,32 +11,40 @@ import (
 	"mlq/internal/replica"
 )
 
-// outItem is one entry in a destination's outbound queue: a pre-framed data
-// or control payload, a barrier marker, or a flush marker.
-type outItem struct {
-	frame   []byte
+// outMark is a barrier or flush marker in a destination's pending buffer;
+// off is the number of pending bytes ahead of it. A barrier's frame starts
+// at off. A flush marker carries no bytes: its waiter is released once the
+// off bytes ahead of it are on the socket.
+type outMark struct {
+	off     int
 	barrier *pendingBarrier
 	flush   chan struct{}
 }
 
-// connMgr owns the single outbound connection to one destination: a bounded
-// queue the senders feed without blocking, a writer goroutine that dials
-// lazily and reconnects under capped exponential backoff, and an ack reader
-// whose heartbeat misses tear a silently dead link down. The queue persists
-// across reconnects — frames enqueued while the link is down ride the next
-// connection; only overflow and explicit drains (FlushHeld on a dead link,
-// Close) lose them, counted.
+// connMgr owns the single outbound connection to one destination: a
+// bounded pending buffer the senders encode frames into without blocking,
+// a writer goroutine that dials lazily and reconnects under capped
+// exponential backoff, and an ack reader whose heartbeat misses tear a
+// silently dead link down. The pending buffer persists across reconnects —
+// frames enqueued while the link is down ride the next connection; only
+// overflow and explicit drains (FlushHeld on a dead link, Close) lose them,
+// counted.
 type connMgr struct {
 	t     *NetTransport
 	dst   string
 	epIdx int
-	queue chan outItem
+	// wake holds a token once the pending buffer has gone from empty to
+	// non-empty since the writer last took it.
+	wake chan struct{}
 
 	mu        sync.Mutex
 	conn      net.Conn
 	gen       uint64
 	upFlag    bool
 	dialFails int
+	pending   []byte    // framed records and barriers, in send order
+	marks     []outMark // the barrier and flush markers among them, by offset
+	queued    int       // frames in pending, at most QueueCapacity
 
 	lastMisses atomic.Int64
 }
@@ -47,7 +55,7 @@ func (t *NetTransport) mgrLocked(dst string, epIdx int) *connMgr {
 	if m := t.mgrs[dst]; m != nil {
 		return m
 	}
-	m := &connMgr{t: t, dst: dst, epIdx: epIdx, queue: make(chan outItem, t.cfg.QueueCapacity)}
+	m := &connMgr{t: t, dst: dst, epIdx: epIdx, wake: make(chan struct{}, 1)}
 	t.mgrs[dst] = m
 	t.wg.Add(1)
 	go m.run()
@@ -170,72 +178,192 @@ func (m *connMgr) dialOnce() (net.Conn, uint64, bool) {
 	return nil, 0, false
 }
 
-// coalesceBytes bounds how many bytes of queued frames writeLoop gathers
-// into one socket write: a few dozen record frames, well under a loopback
-// or LAN send buffer.
+// enqueueMsg frames msg into the pending buffer. It reports false, queuing
+// nothing, when QueueCapacity frames are already pending.
+func (m *connMgr) enqueueMsg(msg replica.Msg) bool {
+	m.mu.Lock()
+	if m.queued >= m.t.cfg.QueueCapacity {
+		m.mu.Unlock()
+		return false
+	}
+	idle := m.idleLocked()
+	m.pending = appendMsgFrame(m.pending, msg)
+	m.queued++
+	m.mu.Unlock()
+	m.wakeIf(idle)
+	return true
+}
+
+// enqueueBarrier frames a barrier marker behind everything pending. It
+// reports false, queuing nothing, when QueueCapacity frames are already
+// pending.
+func (m *connMgr) enqueueBarrier(pb *pendingBarrier) bool {
+	m.mu.Lock()
+	if m.queued >= m.t.cfg.QueueCapacity {
+		m.mu.Unlock()
+		return false
+	}
+	idle := m.idleLocked()
+	m.marks = append(m.marks, outMark{off: len(m.pending), barrier: pb})
+	m.pending = appendU64Frame(m.pending, fmBarrier, pb.id)
+	m.queued++
+	m.mu.Unlock()
+	m.wakeIf(idle)
+	return true
+}
+
+// enqueueFlush places a flush marker behind everything pending; the writer
+// closes done once those bytes are on the socket, a drain closes it at
+// once.
+func (m *connMgr) enqueueFlush(done chan struct{}) {
+	m.mu.Lock()
+	idle := m.idleLocked()
+	m.marks = append(m.marks, outMark{off: len(m.pending), flush: done})
+	m.mu.Unlock()
+	m.wakeIf(idle)
+}
+
+// idleLocked reports whether the pending buffer is empty, so that whoever
+// fills it must wake the writer. Caller holds m.mu.
+func (m *connMgr) idleLocked() bool {
+	return len(m.pending) == 0 && len(m.marks) == 0
+}
+
+// wakeIf wakes the writer when the caller filled an empty pending buffer.
+// The token persists, so a writer busy writing or redialing finds it next.
+func (m *connMgr) wakeIf(idle bool) {
+	if !idle {
+		return
+	}
+	select {
+	case m.wake <- struct{}{}:
+	default:
+	}
+}
+
+// take hands the pending buffer, its markers and its frame count to the
+// caller, and leaves the emptied buf and marks, which the caller owns, in
+// their place.
+func (m *connMgr) take(buf []byte, marks []outMark) ([]byte, []outMark, int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	frames := m.queued
+	buf, m.pending = m.pending, buf[:0]
+	marks, m.marks = m.marks, marks[:0]
+	m.queued = 0
+	return buf, marks, frames
+}
+
+// requeue puts the unwritten tail of a taken batch back in front of the
+// pending buffer, so it rides the next connection; marks' offsets are
+// relative to rest. It copies both, so the caller may reuse them.
+func (m *connMgr) requeue(rest []byte, marks []outMark) {
+	frames := 0
+	for off := 0; off < len(rest); off += frameLen(rest[off:]) {
+		frames++
+	}
+	m.mu.Lock()
+	for i := range m.marks {
+		m.marks[i].off += len(rest)
+	}
+	m.pending = append(append(make([]byte, 0, len(rest)+len(m.pending)), rest...), m.pending...)
+	m.marks = append(append(make([]outMark, 0, len(marks)+len(m.marks)), marks...), m.marks...)
+	m.queued += frames
+	m.mu.Unlock()
+	m.wakeIf(true)
+}
+
+// coalesceBytes bounds how many bytes of pending frames writeLoop hands to
+// one socket write: a few dozen record frames, well under a loopback or
+// LAN send buffer.
 const coalesceBytes = 4 << 10
 
-// writeLoop streams queued frames and periodic heartbeats until the
+// writeLoop streams pending frames and periodic heartbeats until the
 // connection dies, the ack reader declares it dead, or the transport
-// closes. Frames already queued behind the one that woke it are coalesced,
-// up to coalesceBytes, into one buffer and one Write; the wire format is
-// unchanged and queue order is kept, barrier frames included. Barrier
-// markers are stamped with the connection generation before they are
-// buffered, so teardown's sweep can recover the ones this exact connection
-// loses. A flush marker first writes what is buffered ahead of it, so its
-// waiter wakes only once those frames are on the socket.
+// closes. Woken by the first frame or marker to land in an empty pending
+// buffer, it takes everything pending at once, swapping in the buffer it
+// wrote last time, and writes the batch in chunks (writeBatch). Senders
+// keep filling the other buffer meanwhile, so the writer wakes once per
+// batch, not once per frame.
 func (m *connMgr) writeLoop(conn net.Conn, gen uint64, dead chan struct{}, hbSeq *uint64) {
 	hb := m.t.clk.NewTimer(m.t.cfg.HeartbeatEvery)
 	defer func() { hb.Stop() }()
-	buf := make([]byte, 0, coalesceBytes)
-	write := func() error {
-		if len(buf) == 0 {
-			return nil
-		}
-		_, err := conn.Write(buf)
-		buf = buf[:0]
-		return err
-	}
+	var (
+		spare      []byte
+		spareMarks []outMark
+		hbFrame    []byte
+	)
 	for {
 		select {
-		case it := <-m.queue:
-			for {
-				switch {
-				case it.flush != nil:
-					err := write()
-					//lint:ignore chanowner the flush marker rides the queue exactly once; the single dequeuer (writer or drain) is its one closing owner
-					close(it.flush)
-					if err != nil {
-						return
-					}
-				case it.barrier != nil:
-					m.t.stampBarrier(it.barrier, gen)
-					buf = appendFrame(buf, encodeU64Frame(fmBarrier, it.barrier.id))
-				default:
-					buf = append(buf, it.frame...)
-				}
-				if len(buf) < coalesceBytes {
-					select {
-					case it = <-m.queue:
-						continue
-					default:
-					}
-				}
-				break
-			}
-			if write() != nil {
+		case <-m.wake:
+			batch, marks, _ := m.take(spare, spareMarks)
+			ok := m.writeBatch(conn, gen, batch, marks)
+			clear(marks)
+			spare, spareMarks = batch, marks
+			if !ok {
 				return
 			}
 		case <-hb.C():
 			hb = m.t.clk.NewTimer(m.t.cfg.HeartbeatEvery)
 			*hbSeq++
-			if _, err := conn.Write(appendFrame(nil, encodeU64Frame(fmHeartbeat, *hbSeq))); err != nil {
+			hbFrame = appendU64Frame(hbFrame[:0], fmHeartbeat, *hbSeq)
+			if _, err := conn.Write(hbFrame); err != nil {
 				return
 			}
 		case <-dead:
 			return
 		case <-m.t.closeCh:
 			return
+		}
+	}
+}
+
+// writeBatch writes a taken batch in chunks of about coalesceBytes, cut at
+// frame boundaries; the wire format is unchanged and send order is kept,
+// barrier frames included. Each barrier is stamped with the connection
+// generation before the chunk carrying it is written, so teardown's sweep
+// can recover the barriers this exact connection loses. Each flush marker
+// is released once the bytes ahead of it are written, and in exactly one
+// place. When a write fails, the failed chunk is lost with the connection
+// (its flush markers are released, its barriers left to the sweep) and the
+// rest of the batch is requeued. Reports whether every write succeeded.
+func (m *connMgr) writeBatch(conn net.Conn, gen uint64, batch []byte, marks []outMark) bool {
+	done := 0 // marks[:done] are handled
+	for s := 0; s < len(batch); {
+		e := s
+		for e < len(batch) && e-s < coalesceBytes {
+			e += frameLen(batch[e:])
+		}
+		j := done
+		for ; j < len(marks) && marks[j].off < e; j++ {
+			if pb := marks[j].barrier; pb != nil {
+				m.t.stampBarrier(pb, gen)
+			}
+		}
+		_, err := conn.Write(batch[s:e])
+		releaseFlushes(marks[done:j])
+		done = j
+		if err != nil {
+			if rest := marks[done:]; e < len(batch) || len(rest) > 0 {
+				for i := range rest {
+					rest[i].off -= e
+				}
+				m.requeue(batch[e:], rest)
+			}
+			return false
+		}
+		s = e
+	}
+	releaseFlushes(marks[done:])
+	return true
+}
+
+// releaseFlushes closes the flush markers among marks.
+func releaseFlushes(marks []outMark) {
+	for _, mk := range marks {
+		if mk.flush != nil {
+			//lint:ignore chanowner a flush marker is taken from the pending buffer exactly once; the taker (writer or drain) is its one closing owner
+			close(mk.flush)
 		}
 	}
 }
@@ -292,28 +420,22 @@ func (m *connMgr) teardown(conn net.Conn, gen uint64) {
 	m.lastMisses.Store(0)
 }
 
-// drainQueue empties the outbound queue as counted losses: data frames are
+// drainQueue empties the pending buffer as counted losses: data frames are
 // Dropped, barriers deliver locally (never lost), flush markers release
 // their waiters.
 func (m *connMgr) drainQueue() {
-	for {
-		select {
-		case it := <-m.queue:
-			switch {
-			case it.flush != nil:
-				//lint:ignore chanowner the flush marker rides the queue exactly once; the single dequeuer (writer or drain) is its one closing owner
-				close(it.flush)
-			case it.barrier != nil:
-				if pb := m.t.claimBarrier(it.barrier.id); pb != nil {
-					m.t.deliverBarrierLocal(pb)
-				}
-			default:
-				m.t.dropped.Add(1)
-			}
-		default:
-			return
+	_, marks, frames := m.take(nil, nil)
+	releaseFlushes(marks)
+	for _, mk := range marks {
+		if mk.barrier == nil {
+			continue
+		}
+		frames--
+		if pb := m.t.claimBarrier(mk.barrier.id); pb != nil {
+			m.t.deliverBarrierLocal(pb)
 		}
 	}
+	m.t.dropped.Add(int64(frames))
 }
 
 // partitionedTo reports the administrative cut state for a destination.
@@ -436,10 +558,11 @@ func (ep *endpoint) serveConn(conn net.Conn) {
 // counted and skipped (the stream stays aligned); a lost stream or an idle
 // timeout kills the connection and the dialer re-establishes it.
 func (ep *endpoint) streamLoop(conn net.Conn) {
-	// Buffered: one read syscall fetches every frame the writer coalesced.
-	fr := &frameReader{r: bufio.NewReader(conn)}
+	// Buffered: one read syscall fetches every frame of a chunk, and only
+	// a read that reaches the socket arms the idle deadline.
+	fr := &frameReader{r: bufio.NewReader(idleReader{conn: conn, idle: ep.t.cfg.ReadIdleTimeout})}
+	//lint:ignore boundedretry skipping a damaged frame is not a retry: the frame's bytes are consumed, and every read that reaches the socket arms the idle deadline inside idleReader
 	for {
-		_ = conn.SetReadDeadline(time.Now().Add(ep.t.cfg.ReadIdleTimeout))
 		p, err := fr.next()
 		if err == errDamagedFrame {
 			ep.t.frameDamaged()
@@ -474,13 +597,29 @@ func (ep *endpoint) streamLoop(conn net.Conn) {
 			if ep.muted() {
 				continue
 			}
-			if _, werr := conn.Write(appendFrame(nil, encodeU64Frame(fmHeartbeatAck, seq))); werr != nil {
+			if _, werr := conn.Write(appendU64Frame(nil, fmHeartbeatAck, seq)); werr != nil {
 				return
 			}
 		default:
 			ep.t.frameDamaged()
 		}
 	}
+}
+
+// idleReader arms the connection's idle deadline before every read it
+// passes on. Under streamLoop's bufio.Reader, that is before each read
+// that can block — when the buffered bytes do not hold the next whole
+// frame — so a silent link dies after idle, while frames already buffered
+// are decoded without touching the deadline, and a busy link survives
+// even when its frames are split across reads.
+type idleReader struct {
+	conn net.Conn
+	idle time.Duration
+}
+
+func (r idleReader) Read(p []byte) (int, error) {
+	_ = r.conn.SetReadDeadline(time.Now().Add(r.idle))
+	return r.conn.Read(p)
 }
 
 // deliver enqueues a data-plane message nonblocking: a full inbox overflows

@@ -29,8 +29,8 @@ type Config struct {
 	// Events, when non-nil, receives conn-up/conn-down/bootstrap events on
 	// the causal spine (actor = destination endpoint ordinal + 1).
 	Events *events.Recorder
-	// QueueCapacity bounds each destination's outbound frame queue; a full
-	// queue overflows (counted), never blocks the sender. Default 4096.
+	// QueueCapacity bounds the frames pending for each destination; a frame
+	// past it overflows (counted), never blocks the sender. Default 4096.
 	QueueCapacity int
 	// ChunkBytes is the bootstrap chunk payload size. Default 32 KiB.
 	ChunkBytes int
@@ -42,9 +42,9 @@ type Config struct {
 	// HeartbeatMiss is how many consecutive unanswered probe windows
 	// declare the connection dead. Default 3.
 	HeartbeatMiss int
-	// ReadIdleTimeout is the accept side's per-read deadline; a connection
-	// silent this long is torn down (the dialer re-establishes it).
-	// Default max(2s, 6×HeartbeatEvery).
+	// ReadIdleTimeout is the accept side's idle deadline, armed before each
+	// read that can block; a connection silent this long is torn down (the
+	// dialer re-establishes it). Default max(2s, 6×HeartbeatEvery).
 	ReadIdleTimeout time.Duration
 	// BarrierTimeout bounds how long a barrier may ride the socket before
 	// the watchdog delivers it locally (a damaged barrier frame must not
@@ -230,8 +230,8 @@ func (t *NetTransport) addrOf(id string) (string, error) {
 	return ep.addr, nil
 }
 
-// Send frames m and hands it to the destination's outbound queue. It never
-// blocks: a full queue (a disconnected or slow link) overflows, counted —
+// Send frames m into the destination's pending buffer. It never blocks: a
+// full buffer (a disconnected or slow link) overflows, counted —
 // the sender may believe delivery happened, exactly like a lossy network
 // lies to a fire-and-forget streamer. Journal catch-up repairs the gap.
 func (t *NetTransport) Send(to string, m replica.Msg) error {
@@ -256,10 +256,7 @@ func (t *NetTransport) Send(to string, m replica.Msg) error {
 	}
 	mgr := t.mgrLocked(to, ep.idx)
 	t.mu.Unlock()
-	frame := appendFrame(nil, encodeMsg(m))
-	select {
-	case mgr.queue <- outItem{frame: frame}:
-	default:
+	if !mgr.enqueueMsg(m) {
 		t.overflowed.Add(1)
 	}
 	return nil
@@ -293,20 +290,19 @@ func (t *NetTransport) Barrier(to string) (chan struct{}, error) {
 
 	if cut || mgr.suspect() {
 		// The link is known dead: the drain pattern's preceding FlushHeld
-		// already turned the queue into counted losses, so nothing of ours
-		// is ahead of the marker and local delivery preserves its meaning.
+		// already turned the pending frames into counted losses, so nothing
+		// of ours is ahead of the marker and local delivery preserves its
+		// meaning.
 		if p := t.claimBarrier(pb.id); p != nil {
 			t.deliverBarrierLocal(p)
 		}
 		return done, nil
 	}
-	// Live (or still-dialing) link: the marker rides the outbound queue
+	// Live (or still-dialing) link: the marker rides the pending buffer
 	// behind every frame already enqueued; TCP keeps it behind them on the
-	// wire. A full queue means the link is losing data anyway — deliver
+	// wire. A full buffer means the link is losing data anyway — deliver
 	// locally rather than block.
-	select {
-	case mgr.queue <- outItem{barrier: pb}:
-	default:
+	if !mgr.enqueueBarrier(pb) {
 		if p := t.claimBarrier(pb.id); p != nil {
 			t.deliverBarrierLocal(p)
 		}
@@ -393,7 +389,7 @@ func (t *NetTransport) deliverBarrierLocal(pb *pendingBarrier) {
 
 // FlushHeld releases everything the transport is voluntarily holding for
 // the destination: on a live link it blocks until the writer has pushed the
-// queued frames to the socket; on a down or partitioned link the queue is
+// pending frames to the socket; on a down or partitioned link they are
 // drained as counted losses. Either way, after FlushHeld returns nothing is
 // parked inside the transport — the flush-then-barrier-then-assert drain
 // pattern (Failover, Converge) relies on it.
@@ -411,11 +407,7 @@ func (t *NetTransport) FlushHeld(to string) {
 		return
 	}
 	done := make(chan struct{})
-	select {
-	case mgr.queue <- outItem{flush: done}:
-	case <-t.closeCh:
-		return
-	}
+	mgr.enqueueFlush(done)
 	tm := t.clk.NewTimer(t.cfg.BarrierTimeout)
 	defer tm.Stop()
 	select {

@@ -104,11 +104,43 @@ func readPreamble(r io.Reader) (byte, error) {
 
 // appendFrame frames a payload: [u32 len][u32 crc][payload].
 func appendFrame(dst, payload []byte) []byte {
-	var hdr [frameHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+	dst, start := openFrame(dst)
+	return sealFrame(append(dst, payload...), start)
+}
+
+// appendMsgFrame appends m as one fmMsg frame.
+func appendMsgFrame(dst []byte, m replica.Msg) []byte {
+	dst, start := openFrame(dst)
+	return sealFrame(appendMsg(dst, m), start)
+}
+
+// appendU64Frame appends one of the one-u64 control frames (barrier,
+// heartbeats).
+func appendU64Frame(dst []byte, kind byte, v uint64) []byte {
+	dst, start := openFrame(dst)
+	return sealFrame(appendU64(append(dst, kind), v), start)
+}
+
+// openFrame appends a header placeholder to dst and returns where the frame
+// starts. The caller appends the payload after it and calls sealFrame, so a
+// payload is framed where it is encoded, without a buffer of its own.
+func openFrame(dst []byte) ([]byte, int) {
+	return append(dst, make([]byte, frameHeaderLen)...), len(dst)
+}
+
+// sealFrame fills in the header of the frame that starts at dst[start] and
+// runs to the end of dst.
+func sealFrame(dst []byte, start int) []byte {
+	payload := dst[start+frameHeaderLen:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
+	return dst
+}
+
+// frameLen returns the length of the well-formed frame at the start of b,
+// header included: one this package framed, never bytes off the wire.
+func frameLen(b []byte) int {
+	return frameHeaderLen + int(binary.LittleEndian.Uint32(b))
 }
 
 // frameReader decodes frames off a connection, reusing one buffer.
@@ -146,10 +178,14 @@ func (fr *frameReader) next() ([]byte, error) {
 // encodeMsg serializes a stream message as an fmMsg frame payload. Barrier
 // messages are not data-plane traffic and have their own frame kind.
 func encodeMsg(m replica.Msg) []byte {
+	return appendMsg(nil, m)
+}
+
+// appendMsg appends m's fmMsg frame payload to b.
+func appendMsg(b []byte, m replica.Msg) []byte {
 	switch m.Kind {
 	case replica.KindRecord:
 		rec := m.Rec
-		b := make([]byte, 0, 2+8*5+2+8*len(rec.Point))
 		b = append(b, fmMsg, byte(replica.KindRecord))
 		b = appendU64(b, rec.Seq)
 		b = appendU64(b, rec.Term)
@@ -162,7 +198,6 @@ func encodeMsg(m replica.Msg) []byte {
 		}
 		return b
 	default: // KindTerm
-		b := make([]byte, 0, 2+8*2)
 		b = append(b, fmMsg, byte(replica.KindTerm))
 		b = appendU64(b, m.Term)
 		return appendU64(b, m.Seq)
@@ -217,13 +252,6 @@ func decodeMsg(p []byte) (replica.Msg, error) {
 	default:
 		return replica.Msg{}, errDamagedFrame
 	}
-}
-
-// encodeU64Frame builds the one-u64 control frames (barrier, heartbeats).
-func encodeU64Frame(kind byte, v uint64) []byte {
-	b := make([]byte, 0, 9)
-	b = append(b, kind)
-	return appendU64(b, v)
 }
 
 // decodeU64Frame parses a one-u64 control frame body.
