@@ -14,11 +14,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"sort"
 
 	"mlq/internal/core"
+	"mlq/internal/frame"
 	"mlq/internal/histogram"
 )
 
@@ -186,18 +186,14 @@ func decodeModel(r *bufio.Reader) (core.Model, error) {
 
 // WriteTo persists the whole catalog in the v2 format: a 12-byte header
 // (magic, version, entry count) followed by one self-describing frame per
-// entry — entry magic, payload length, CRC32 (IEEE) of the payload, payload.
+// entry — entry magic, then the payload as an internal/frame frame.
 // The whole stream is assembled in memory and issued as a single Write, so a
 // failed write never leaves a half-written destination behind the caller's
 // back. It implements io.WriterTo.
 func (c *Catalog) WriteTo(w io.Writer) (int64, error) {
-	var buf bytes.Buffer
-	write := func(vs ...interface{}) {
-		for _, v := range vs {
-			binary.Write(&buf, binary.LittleEndian, v) // bytes.Buffer never errors
-		}
-	}
-	write(uint32(catalogMagic), uint32(catalogVersion), uint32(len(c.entries)))
+	buf := binary.LittleEndian.AppendUint32(nil, catalogMagic)
+	buf = binary.LittleEndian.AppendUint32(buf, catalogVersion)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.entries)))
 	for _, name := range c.Names() {
 		var payload bytes.Buffer
 		binary.Write(&payload, binary.LittleEndian, uint32(len(name)))
@@ -209,11 +205,9 @@ func (c *Catalog) WriteTo(w io.Writer) (int64, error) {
 		if err := encodeModel(&payload, e.IO); err != nil {
 			return 0, err
 		}
-		buf.Write(entryMagic)
-		write(uint32(payload.Len()), crc32.ChecksumIEEE(payload.Bytes()))
-		buf.Write(payload.Bytes())
+		buf = frame.Append(append(buf, entryMagic...), payload.Bytes())
 	}
-	n, err := w.Write(buf.Bytes())
+	n, err := w.Write(buf)
 	return int64(n), err
 }
 

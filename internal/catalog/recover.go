@@ -5,9 +5,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"strings"
+
+	"mlq/internal/frame"
 )
 
 // CorruptionError reports a partial catalog load: Read salvaged every intact
@@ -25,8 +26,8 @@ func (e *CorruptionError) Error() string {
 		len(e.Dropped), strings.Join(e.Dropped, "; "))
 }
 
-// frameHeader is entry magic + payload length + CRC32.
-const frameHeader = 12
+// frameHeader is entry magic + frame header.
+const frameHeader = 4 + frame.HeaderLen
 
 // scanEntries walks a v2 entry stream salvaging every intact frame. Damage is
 // contained by resynchronizing on the next entry magic; each skipped region
@@ -78,26 +79,15 @@ func scanEntries(data []byte, want int64) (*Catalog, []string) {
 // parseFrame decodes one entry frame at the start of b, verifying length
 // bounds and the payload CRC before trusting any of it.
 func parseFrame(b []byte) (name string, e *Entry, frameLen int, err error) {
-	if len(b) < frameHeader {
-		return "", nil, 0, fmt.Errorf("catalog: truncated entry frame")
-	}
-	payloadLen := binary.LittleEndian.Uint32(b[4:8])
-	sum := binary.LittleEndian.Uint32(b[8:12])
-	if payloadLen > maxModelSize {
-		return "", nil, 0, fmt.Errorf("catalog: implausible entry size %d", payloadLen)
-	}
-	if frameHeader+int(payloadLen) > len(b) {
-		return "", nil, 0, fmt.Errorf("catalog: entry frame extends past the stream")
-	}
-	payload := b[frameHeader : frameHeader+int(payloadLen)]
-	if crc32.ChecksumIEEE(payload) != sum {
-		return "", nil, 0, fmt.Errorf("catalog: entry checksum mismatch")
+	payload, n, err := frame.Parse(b[len(entryMagic):], 0, maxModelSize)
+	if err != nil {
+		return "", nil, 0, fmt.Errorf("catalog: entry frame: %w", err)
 	}
 	name, e, err = decodeEntryPayload(payload)
 	if err != nil {
 		return "", nil, 0, err
 	}
-	return name, e, frameHeader + int(payloadLen), nil
+	return name, e, len(entryMagic) + n, nil
 }
 
 // decodeEntryPayload parses a CRC-verified entry payload: name, CPU slot, IO

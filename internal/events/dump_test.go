@@ -211,3 +211,52 @@ func TestDumpToExplicitExport(t *testing.T) {
 		t.Fatalf("meta %+v, %d events", meta, len(evts))
 	}
 }
+
+// FuzzReadDump feeds ReadDump arbitrary bytes, which it must survive, and
+// a WriteDump stream cut at an arbitrary byte, which must decode to a
+// prefix of what the whole stream decodes to.
+func FuzzReadDump(f *testing.F) {
+	var seed bytes.Buffer
+	if err := WriteDump(&seed, DumpMeta{Seq: 2, Reason: "seed"}, sampleEvents(3)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes(), uint8(3), uint16(0))
+	f.Add(seed.Bytes()[:seed.Len()-5], uint8(5), uint16(40))
+	f.Add([]byte{}, uint8(0), uint16(7))
+	f.Fuzz(func(t *testing.T, data []byte, n uint8, cut uint16) {
+		_, _, _, _ = ReadDump(bytes.NewReader(data))
+
+		var buf bytes.Buffer
+		meta := DumpMeta{Seq: 1, Reason: "fuzz"}
+		if err := WriteDump(&buf, meta, sampleEvents(int(n%32))); err != nil {
+			t.Fatal(err)
+		}
+		full := buf.Bytes()
+		_, all, _, err := ReadDump(bytes.NewReader(full))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := int(cut) % (len(full) + 1)
+		gotMeta, got, _, err := ReadDump(bytes.NewReader(full[:c]))
+		if c < 8 {
+			if err == nil {
+				t.Fatalf("a %d-byte stream decoded without a header", c)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("cut at %d: %v", c, err)
+		}
+		if gotMeta != meta && gotMeta != (DumpMeta{}) {
+			t.Fatalf("cut at %d: meta %+v, want %+v or none", c, gotMeta, meta)
+		}
+		if len(got) > len(all) {
+			t.Fatalf("cut at %d: %d events from a stream of %d", c, len(got), len(all))
+		}
+		for i := range got {
+			if got[i] != all[i] {
+				t.Fatalf("cut at %d: event %d = %+v, want %+v", c, i, got[i], all[i])
+			}
+		}
+	})
+}

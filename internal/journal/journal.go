@@ -8,8 +8,9 @@
 // model state it covers has been made durable), and on restart Replay
 // recovers the tail of observations the last save missed.
 //
-// The on-disk format reuses the catalog's framing discipline (magic + version
-// header, then self-describing CRC32-checked records) so damage is contained:
+// The on-disk format is a magic + version header, then one internal/frame
+// frame per record — the framing the catalog, the wire and the blackbox use —
+// so damage is contained:
 // a torn tail or a flipped bit costs the damaged record and everything after
 // it, never the valid prefix — Replay returns what survived and how much was
 // cut, and it never fails on damage alone.
@@ -19,7 +20,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -27,6 +27,7 @@ import (
 	"syscall"
 
 	"mlq/internal/events"
+	"mlq/internal/frame"
 )
 
 const (
@@ -55,8 +56,8 @@ type Record struct {
 }
 
 // recordSize returns the framed size of a record with the given
-// dimensionality: u32 length + u32 CRC + u8 dims + point + value.
-func recordSize(dims int) int { return 4 + 4 + 1 + 8*dims + 8 }
+// dimensionality: frame header + u8 dims + point + value.
+func recordSize(dims int) int { return frame.HeaderLen + 1 + 8*dims + 8 }
 
 // Journal is an open journal file accepting appends. It is not safe for
 // concurrent use; the Publisher serializes appends on its Observe path.
@@ -65,9 +66,8 @@ type Journal struct {
 	path    string
 	records int
 	max     int
-	sync    bool
 	ev      *events.Recorder
-	frame   []byte // Append's encoding buffer, reused across calls
+	buf     []byte // Append's encoding buffer, reused across calls
 }
 
 // Option configures Create.
@@ -88,14 +88,6 @@ func WithMaxRecords(n int) Option {
 // causal ID; the journal only reports its own lifecycle.
 func WithEvents(rec *events.Recorder) Option {
 	return func(j *Journal) { j.ev = rec }
-}
-
-// WithSync makes every Append fsync, trading throughput for power-loss
-// durability. Without it an append survives process death immediately (the
-// write reaches the OS before Append returns) but a machine crash can lose
-// the OS-buffered tail.
-func WithSync() Option {
-	return func(j *Journal) { j.sync = true }
 }
 
 // Create opens a fresh journal at path, truncating whatever was there: the
@@ -154,7 +146,10 @@ func writeHeader(f *os.File) error {
 }
 
 // Append logs one observation. The frame is issued as a single write so a
-// crash tears at most the final record, which Replay's CRC then cuts.
+// crash tears at most the final record, which Replay's CRC then cuts. The
+// write reaches the OS before Append returns, so an append survives process
+// death at once; a machine crash can lose the OS-buffered tail, which Close
+// and Reset fsync.
 func (j *Journal) Append(point []float64, value float64) error {
 	if j.records >= j.max {
 		return ErrFull
@@ -165,26 +160,14 @@ func (j *Journal) Append(point []float64, value float64) error {
 	if math.IsNaN(value) || math.IsInf(value, 0) {
 		return fmt.Errorf("journal: value must be finite, got %g", value)
 	}
-	size := recordSize(len(point))
-	if cap(j.frame) < size {
-		j.frame = make([]byte, size)
+	b, start := frame.Open(j.buf[:0])
+	b = append(b, byte(len(point)))
+	for _, v := range point {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
-	frame := j.frame[:size]
-	payload := frame[8:]
-	payload[0] = byte(len(point))
-	for i, v := range point {
-		binary.LittleEndian.PutUint64(payload[1+8*i:], math.Float64bits(v))
-	}
-	binary.LittleEndian.PutUint64(payload[1+8*len(point):], math.Float64bits(value))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := j.f.Write(frame); err != nil {
+	j.buf = frame.Seal(binary.LittleEndian.AppendUint64(b, math.Float64bits(value)), start)
+	if _, err := j.f.Write(j.buf); err != nil {
 		return fmt.Errorf("journal: appending record: %w", err)
-	}
-	if j.sync {
-		if err := j.f.Sync(); err != nil {
-			return fmt.Errorf("journal: syncing append: %w", err)
-		}
 	}
 	j.records++
 	return nil

@@ -3,9 +3,10 @@ package journal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"os"
+
+	"mlq/internal/frame"
 )
 
 // ErrNoRecord reports that the stream holds no complete, valid record at the
@@ -38,14 +39,10 @@ type TailDecoder struct {
 	buf       []byte
 	headerOK  bool
 	headerErr error
-	records   int
 }
 
 // Feed appends bytes to the undecoded tail.
 func (d *TailDecoder) Feed(p []byte) { d.buf = append(d.buf, p...) }
-
-// Records returns how many records the decoder has emitted.
-func (d *TailDecoder) Records() int { return d.records }
 
 // Buffered returns how many undecoded bytes the decoder is holding.
 func (d *TailDecoder) Buffered() int { return len(d.buf) }
@@ -73,26 +70,16 @@ func (d *TailDecoder) Next() (Record, error) {
 		d.buf = d.buf[headerSize:]
 		d.headerOK = true
 	}
-	if len(d.buf) < 8 {
-		return Record{}, ErrNoRecord
-	}
-	size := binary.LittleEndian.Uint32(d.buf[0:4])
-	sum := binary.LittleEndian.Uint32(d.buf[4:8])
-	if size < 1+8+8 || size > uint32(recordSize(MaxDims)-8) {
-		// An implausible frame size can never complete into a valid record;
-		// but it is also what a torn frame header looks like mid-write, so
-		// the decoder holds position rather than condemning the stream.
-		return Record{}, ErrNoRecord
-	}
-	if int(size) > len(d.buf)-8 {
-		return Record{}, ErrNoRecord
-	}
-	payload := d.buf[8 : 8+size]
-	if crc32.ChecksumIEEE(payload) != sum {
+	payload, n, err := frame.Parse(d.buf, 1+8+8, recordSize(MaxDims)-frame.HeaderLen)
+	if err != nil {
+		// Every frame error holds position. An implausible size can never
+		// complete into a valid record, but it is also what a torn frame
+		// header looks like mid-write, so the decoder does not condemn the
+		// stream.
 		return Record{}, ErrNoRecord
 	}
 	dims := int(payload[0])
-	if dims == 0 || uint32(1+8*dims+8) != size {
+	if dims == 0 || 1+8*dims+8 != len(payload) {
 		return Record{}, ErrNoRecord
 	}
 	rec := Record{Point: make([]float64, dims)}
@@ -100,8 +87,7 @@ func (d *TailDecoder) Next() (Record, error) {
 		rec.Point[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[1+8*i:]))
 	}
 	rec.Value = math.Float64frombits(binary.LittleEndian.Uint64(payload[1+8*dims:]))
-	d.buf = d.buf[8+size:]
-	d.records++
+	d.buf = d.buf[n:]
 	return rec, nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"mlq/internal/events"
+	"mlq/internal/frame"
 )
 
 // SnapshotSource produces the durable state a cold follower bootstraps
@@ -78,8 +79,8 @@ type bootMeta struct {
 // dies with the transfer; resume means a new connection with the old token.
 func (t *NetTransport) serveBootstrap(ep *endpoint, conn net.Conn) {
 	_ = conn.SetReadDeadline(time.Now().Add(t.cfg.ReadIdleTimeout))
-	fr := &frameReader{r: conn}
-	p, err := fr.next()
+	fr := wireReader(conn)
+	p, err := fr.Next()
 	if err != nil || len(p) != 13 || p[0] != fmBootstrapReq {
 		return
 	}
@@ -144,7 +145,7 @@ func (t *NetTransport) serveBootstrap(ep *endpoint, conn net.Conn) {
 	mp = appendU64(mp, meta.blobLen)
 	mp = appendU64(mp, meta.ckptLen)
 	mp = binary.LittleEndian.AppendUint32(mp, meta.crc)
-	if _, err := conn.Write(appendFrame(nil, mp)); err != nil {
+	if _, err := conn.Write(frame.Append(nil, mp)); err != nil {
 		return
 	}
 	for i := int(fromChunk); i < int(meta.chunks); i++ {
@@ -158,7 +159,7 @@ func (t *NetTransport) serveBootstrap(ep *endpoint, conn net.Conn) {
 		cp = appendU64(cp, meta.token)
 		cp = binary.LittleEndian.AppendUint32(cp, uint32(i))
 		cp = append(cp, blob[lo:hi]...)
-		if _, err := conn.Write(appendFrame(nil, cp)); err != nil {
+		if _, err := conn.Write(frame.Append(nil, cp)); err != nil {
 			return
 		}
 	}
@@ -168,7 +169,7 @@ func writeBootErr(conn net.Conn, code byte, msg string) {
 	p := make([]byte, 0, 2+len(msg))
 	p = append(p, fmBootstrapErr, code)
 	p = append(p, msg...)
-	_, _ = conn.Write(appendFrame(nil, p))
+	_, _ = conn.Write(frame.Append(nil, p))
 }
 
 // BootstrapResult is a completed snapshot transfer: the checkpoint and
@@ -264,13 +265,13 @@ func (t *NetTransport) bootstrapOnce(from string, token *uint64, meta **bootMeta
 	req = append(req, fmBootstrapReq)
 	req = appendU64(req, *token)
 	req = binary.LittleEndian.AppendUint32(req, uint32(len(*chunks)))
-	if _, err := conn.Write(appendFrame(nil, req)); err != nil {
+	if _, err := conn.Write(frame.Append(nil, req)); err != nil {
 		return err
 	}
-	fr := &frameReader{r: conn}
+	fr := wireReader(conn)
 	next := func() ([]byte, error) {
 		_ = conn.SetReadDeadline(time.Now().Add(t.cfg.ReadIdleTimeout))
-		return fr.next()
+		return fr.Next()
 	}
 	p, err := next()
 	if err != nil {

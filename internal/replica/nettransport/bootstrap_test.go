@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mlq/internal/faults"
+	"mlq/internal/frame"
 )
 
 // memSource is a SnapshotSource serving fixed bytes.
@@ -124,12 +125,12 @@ func TestBootstrapStaleTokenGetsCompacted(t *testing.T) {
 	req := append([]byte{fmBootstrapReq}, make([]byte, 12)...)
 	req[1] = 1 // token 1, the generation the first transfer used
 	req[9] = 3 // fromChunk 3
-	if _, err := conn.Write(appendFrame(nil, req)); err != nil {
+	if _, err := conn.Write(frame.Append(nil, req)); err != nil {
 		t.Fatal(err)
 	}
-	fr := &frameReader{r: conn}
+	fr := wireReader(conn)
 	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	p, err := fr.next()
+	p, err := fr.Next()
 	if err != nil {
 		t.Fatalf("reading compacted reply: %v", err)
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mlq/internal/events"
+	"mlq/internal/frame"
 	"mlq/internal/replica"
 )
 
@@ -259,7 +260,7 @@ func (m *connMgr) take(buf []byte, marks []outMark) ([]byte, []outMark, int) {
 // relative to rest. It copies both, so the caller may reuse them.
 func (m *connMgr) requeue(rest []byte, marks []outMark) {
 	frames := 0
-	for off := 0; off < len(rest); off += frameLen(rest[off:]) {
+	for off := 0; off < len(rest); off += frame.Len(rest[off:]) {
 		frames++
 	}
 	m.mu.Lock()
@@ -332,7 +333,7 @@ func (m *connMgr) writeBatch(conn net.Conn, gen uint64, batch []byte, marks []ou
 	for s := 0; s < len(batch); {
 		e := s
 		for e < len(batch) && e-s < coalesceBytes {
-			e += frameLen(batch[e:])
+			e += frame.Len(batch[e:])
 		}
 		j := done
 		for ; j < len(marks) && marks[j].off < e; j++ {
@@ -375,13 +376,13 @@ func releaseFlushes(marks []outMark) {
 func (m *connMgr) ackReader(conn net.Conn, dead chan struct{}) {
 	defer m.t.wg.Done()
 	defer close(dead)
-	fr := &frameReader{r: conn}
+	fr := wireReader(conn)
 	misses := 0
 	window := m.t.cfg.HeartbeatEvery * 3 / 2
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(window))
-		p, err := fr.next()
-		if err == errDamagedFrame {
+		p, err := fr.Next()
+		if err == frame.ErrChecksum {
 			m.t.frameDamaged()
 			continue
 		}
@@ -560,11 +561,11 @@ func (ep *endpoint) serveConn(conn net.Conn) {
 func (ep *endpoint) streamLoop(conn net.Conn) {
 	// Buffered: one read syscall fetches every frame of a chunk, and only
 	// a read that reaches the socket arms the idle deadline.
-	fr := &frameReader{r: bufio.NewReader(idleReader{conn: conn, idle: ep.t.cfg.ReadIdleTimeout})}
+	fr := wireReader(bufio.NewReader(idleReader{conn: conn, idle: ep.t.cfg.ReadIdleTimeout}))
 	//lint:ignore boundedretry skipping a damaged frame is not a retry: the frame's bytes are consumed, and every read that reaches the socket arms the idle deadline inside idleReader
 	for {
-		p, err := fr.next()
-		if err == errDamagedFrame {
+		p, err := fr.Next()
+		if err == frame.ErrChecksum {
 			ep.t.frameDamaged()
 			continue
 		}

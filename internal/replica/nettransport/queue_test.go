@@ -139,10 +139,10 @@ func TestFlushHeldReturnsAfterTheSocketWrite(t *testing.T) {
 			got <- -1
 			return
 		}
-		fr := &frameReader{r: r}
+		fr := wireReader(r)
 		n := 0
 		for {
-			p, err := fr.next()
+			p, err := fr.Next()
 			if err != nil {
 				got <- n
 				return
@@ -293,7 +293,7 @@ func TestBusyLinkOutlivesReadIdleTimeout(t *testing.T) {
 		t.Fatalf("heartbeat write: %v", err)
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	ack, err := (&frameReader{r: conn}).next()
+	ack, err := wireReader(conn).Next()
 	if err != nil || ack[0] != fmHeartbeatAck {
 		t.Fatalf("heartbeat on the busy link: %v (frame %v); the endpoint tore it down", err, ack)
 	}
@@ -322,14 +322,14 @@ func TestSilentLinkIsTornDown(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			conn := rawStream(t, tr, "b")
-			fr := &frameReader{r: conn}
+			fr := wireReader(conn)
 			for i := uint64(1); i <= 10; i++ {
 				time.Sleep(idle / 5)
 				if _, err := conn.Write(appendU64Frame(nil, fmHeartbeat, i)); err != nil {
 					t.Fatalf("heartbeat %d: %v", i, err)
 				}
 				_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-				if ack, err := fr.next(); err != nil || ack[0] != fmHeartbeatAck {
+				if ack, err := fr.Next(); err != nil || ack[0] != fmHeartbeatAck {
 					t.Fatalf("heartbeat %d on a busy link: %v; the endpoint tore it down", i, err)
 				}
 			}

@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"mlq/internal/frame"
 	"mlq/internal/geom"
 	"mlq/internal/replica"
 )
@@ -43,40 +44,40 @@ func TestMsgCodecRoundTrip(t *testing.T) {
 }
 
 func TestFrameReaderSkipsDamagedKeepsAlignment(t *testing.T) {
-	m1 := appendFrame(nil, encodeMsg(replica.Msg{Kind: replica.KindTerm, Term: 1, Seq: 1}))
-	m2 := appendFrame(nil, encodeMsg(replica.Msg{Kind: replica.KindTerm, Term: 2, Seq: 2}))
-	m3 := appendFrame(nil, encodeMsg(replica.Msg{Kind: replica.KindTerm, Term: 3, Seq: 3}))
-	m2[frameHeaderLen+3] ^= 0xFF // corrupt frame 2's payload; CRC must catch it
+	m1 := frame.Append(nil, encodeMsg(replica.Msg{Kind: replica.KindTerm, Term: 1, Seq: 1}))
+	m2 := frame.Append(nil, encodeMsg(replica.Msg{Kind: replica.KindTerm, Term: 2, Seq: 2}))
+	m3 := frame.Append(nil, encodeMsg(replica.Msg{Kind: replica.KindTerm, Term: 3, Seq: 3}))
+	m2[frame.HeaderLen+3] ^= 0xFF // corrupt frame 2's payload; CRC must catch it
 
-	fr := &frameReader{r: bytes.NewReader(append(append(append([]byte(nil), m1...), m2...), m3...))}
-	p, err := fr.next()
+	fr := wireReader(bytes.NewReader(append(append(append([]byte(nil), m1...), m2...), m3...)))
+	p, err := fr.Next()
 	if err != nil {
 		t.Fatalf("frame 1: %v", err)
 	}
 	if m, _ := decodeMsg(p); m.Term != 1 {
 		t.Fatalf("frame 1 decoded term %d, want 1", m.Term)
 	}
-	if _, err := fr.next(); err != errDamagedFrame {
-		t.Fatalf("frame 2: got %v, want errDamagedFrame", err)
+	if _, err := fr.Next(); err != frame.ErrChecksum {
+		t.Fatalf("frame 2: got %v, want frame.ErrChecksum", err)
 	}
-	p, err = fr.next()
+	p, err = fr.Next()
 	if err != nil {
 		t.Fatalf("frame 3 after damage: %v — damage must not desynchronize the stream", err)
 	}
 	if m, _ := decodeMsg(p); m.Term != 3 {
 		t.Fatalf("frame 3 decoded term %d, want 3", m.Term)
 	}
-	if _, err := fr.next(); err != io.EOF {
+	if _, err := fr.Next(); err != io.EOF {
 		t.Fatalf("tail: got %v, want EOF", err)
 	}
 }
 
 func TestFrameReaderKillsStreamOnImplausibleLength(t *testing.T) {
-	var hdr [frameHeaderLen]byte
+	var hdr [frame.HeaderLen]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], maxFramePayload+1)
-	fr := &frameReader{r: bytes.NewReader(hdr[:])}
-	_, err := fr.next()
-	if err == nil || err == errDamagedFrame {
+	fr := wireReader(bytes.NewReader(hdr[:]))
+	_, err := fr.Next()
+	if err == nil || err == frame.ErrChecksum {
 		t.Fatalf("implausible length: got %v, want an unrecoverable stream error", err)
 	}
 }
@@ -121,10 +122,10 @@ func FuzzWireDecode(f *testing.F) {
 			}
 		}
 		// The framed path must also never panic, whatever the bytes.
-		fr := &frameReader{r: bytes.NewReader(data)}
+		fr := wireReader(bytes.NewReader(data))
 		for i := 0; i < 4; i++ {
-			p, ferr := fr.next()
-			if ferr == errDamagedFrame {
+			p, ferr := fr.Next()
+			if ferr == frame.ErrChecksum {
 				continue
 			}
 			if ferr != nil {
