@@ -271,18 +271,12 @@ func BenchmarkPredictResize(b *testing.B) {
 }
 
 // BenchmarkPredictParallel measures Predict throughput under the paper's
-// live feedback loop (Fig. 1: predict, execute, observe) for the two
-// concurrency wrappers core offers: a mutex around the model
-// (core.Synchronized) versus lock-free reads of a published snapshot
-// (core.Publisher). Each of N predictor goroutines issues predictions and
-// feeds back an observation for every tenth one, so both cells perform
-// identical model-update work; only the synchronization differs. The mutex
-// path serializes every prediction behind inserts and whole compression
-// passes, while snapshot readers never wait and observations drain through
-// the batching writer. The acceptance bar for the epoch/snapshot design is
-// Snapshot-8 at least 4x Mutex-8 (the reader-scaling gap needs GOMAXPROCS
-// >= 8 to fully open; single-core hosts only see the lock-overhead gap),
-// with Snapshot-1 no slower than the single-threaded BenchmarkPredict path.
+// live feedback loop (Fig. 1: predict, execute, observe) through lock-free
+// reads of a published snapshot (core.Publisher). Each of N predictor
+// goroutines issues predictions and feeds back an observation for every
+// tenth one; readers never wait, and observations drain through the
+// batching writer. Snapshot-1 should be no slower than the single-threaded
+// BenchmarkPredict path, and Snapshot-8 should scale with GOMAXPROCS.
 func BenchmarkPredictParallel(b *testing.B) {
 	newModel := func() *core.MLQ {
 		m, err := core.NewMLQ(quadtree.Config{
@@ -301,40 +295,33 @@ func BenchmarkPredictParallel(b *testing.B) {
 		return m
 	}
 	pts := randPoints(4096, 8)
-	run := func(b *testing.B, goroutines int, predict func(geom.Point) (float64, bool), observe func(geom.Point, float64) error) {
-		b.ResetTimer()
-		per := b.N / goroutines
-		if per == 0 {
-			per = 1
-		}
-		var wg sync.WaitGroup
-		for g := 0; g < goroutines; g++ {
-			wg.Add(1)
-			go func(off int) {
-				defer wg.Done()
-				for i := 0; i < per; i++ {
-					p := pts[(off+i)%len(pts)]
-					predict(p)
-					if i%10 == 9 {
-						observe(p, float64(i%10000))
-					}
-				}
-			}(g * 131)
-		}
-		wg.Wait()
-	}
 	for _, goroutines := range []int{1, 8} {
-		b.Run(fmt.Sprintf("Mutex-%d", goroutines), func(b *testing.B) {
-			s := core.NewSynchronized(newModel())
-			run(b, goroutines, s.Predict, s.Observe)
-		})
 		b.Run(fmt.Sprintf("Snapshot-%d", goroutines), func(b *testing.B) {
 			pub, err := core.NewPublisher(newModel(), core.PublisherConfig{})
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer pub.Close()
-			run(b, goroutines, pub.Predict, pub.Observe)
+			b.ResetTimer()
+			per := b.N / goroutines
+			if per == 0 {
+				per = 1
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func(off int) {
+					defer wg.Done()
+					for i := 0; i < per; i++ {
+						p := pts[(off+i)%len(pts)]
+						pub.Predict(p)
+						if i%10 == 9 {
+							pub.Observe(p, float64(i%10000))
+						}
+					}
+				}(g * 131)
+			}
+			wg.Wait()
 		})
 	}
 }

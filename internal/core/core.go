@@ -6,8 +6,8 @@
 // transformation T, and DualEstimator keeps the paper's separate CPU and
 // disk-IO models.
 //
-// Around MLQ sit the serving and extension layers: Synchronized serializes a
-// model for concurrent use; Publisher serves lock-free predictions from
+// Around MLQ sit the serving and extension layers: Publisher, the one way
+// to share a model between goroutines, serves lock-free predictions from
 // immutable snapshots while observations are applied and replicated;
 // Fallback chains models down to a constant prior; AutoRange grows the
 // region of an MLQ whose argument ranges are not known in advance; and
@@ -17,7 +17,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"mlq/internal/geom"
@@ -43,7 +42,7 @@ type Model interface {
 // in prediction, insertion and compression so APC and AUC (Eq. 1, 2) can be
 // reported. Prediction and insertion time are sampled (see costSampleEvery);
 // compression time is the tree's exact sum. MLQ is not safe for concurrent
-// use; see Synchronized.
+// use; see Publisher.
 type MLQ struct {
 	tree *quadtree.Tree
 
@@ -292,45 +291,4 @@ func (d *DualEstimator) Feedback(args []float64, cpu, io float64) error {
 		return fmt.Errorf("core: io model: %w", err)
 	}
 	return nil
-}
-
-// Synchronized wraps a model with a mutex so concurrent optimizer threads
-// can share it. The paper's setting is single-threaded; this wrapper exists
-// for use inside a real multi-session DBMS.
-type Synchronized struct {
-	mu sync.Mutex
-	m  Model
-}
-
-var _ Model = (*Synchronized)(nil)
-
-// NewSynchronized wraps m.
-func NewSynchronized(m Model) *Synchronized { return &Synchronized{m: m} }
-
-// Predict implements Model.
-func (s *Synchronized) Predict(p geom.Point) (float64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m.Predict(p)
-}
-
-// Observe implements Model.
-func (s *Synchronized) Observe(p geom.Point, actual float64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m.Observe(p, actual)
-}
-
-// Name implements Model.
-func (s *Synchronized) Name() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m.Name()
-}
-
-// Unwrap returns the inner model.
-func (s *Synchronized) Unwrap() Model {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m
 }

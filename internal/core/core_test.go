@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"sync"
 	"testing"
 	"time"
 
@@ -294,38 +293,5 @@ func TestDualEstimatorPropagatesErrors(t *testing.T) {
 	d := NewDualEstimator(cpu, io, nil)
 	if err := d.Feedback([]float64{1}, 1, 1); err == nil {
 		t.Error("dimension mismatch not propagated")
-	}
-}
-
-func TestSynchronizedConcurrentUse(t *testing.T) {
-	s := NewSynchronized(newTestMLQ(t, quadtree.Eager))
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				p := geom.Point{float64((g*31 + i) % 100), float64(i % 100)}
-				s.Predict(p)
-				if err := s.Observe(p, float64(i)); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if s.Name() != "MLQ-E" {
-		t.Errorf("Name = %q", s.Name())
-	}
-	inner, ok := s.Unwrap().(*MLQ)
-	if !ok {
-		t.Fatal("Unwrap lost the inner type")
-	}
-	if inner.Tree().Inserts() != 1600 {
-		t.Errorf("inserts = %d, want 1600", inner.Tree().Inserts())
-	}
-	if err := inner.Tree().Validate(); err != nil {
-		t.Error(err)
 	}
 }

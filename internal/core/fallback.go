@@ -28,7 +28,7 @@ func ValidCost(v float64) bool {
 // observations are rejected with an error before reaching the member, so a
 // Fallback is safe to feed unvalidated measurements.
 //
-// Fallback is not safe for concurrent use; wrap it in Synchronized.
+// Fallback is not safe for concurrent use: callers serialize its calls.
 type Fallback struct {
 	members  []Model
 	prior    float64

@@ -35,8 +35,7 @@ var ErrPublisherClosed = errors.New("core: publisher is closed")
 // This batched-Observe design deviates from the paper, whose feedback loop
 // is synchronous and single-threaded (§5's experiments interleave exactly
 // one Predict with one Observe); the serial path remains available by using
-// MLQ directly (or Synchronized, kept as the lock-based baseline), and the
-// two converge to the identical tree because the writer applies observations
+// MLQ directly, and the two converge to the identical tree because the writer applies observations
 // in arrival order — batching changes latency, never ordering. See DESIGN.md
 // §9.
 type Publisher struct {

@@ -13,18 +13,14 @@ import (
 )
 
 // ConcurrencyRow is one goroutine-count step of the concurrency experiment:
-// prediction throughput of the mutex baseline (core.Synchronized) and of the
-// epoch/snapshot publisher (core.Publisher) under an identical workload —
-// N predictor goroutines with one concurrent observer feeding the model —
-// plus the worst snapshot staleness observed.
+// prediction throughput of the epoch/snapshot publisher (core.Publisher)
+// with N predictor goroutines and one concurrent observer feeding the
+// model, plus the worst snapshot staleness observed.
 type ConcurrencyRow struct {
 	Goroutines int
-	// MutexQPS and SnapshotQPS are predictions per second, summed over all
-	// predictor goroutines.
-	MutexQPS    float64
+	// SnapshotQPS is predictions per second, summed over all predictor
+	// goroutines.
 	SnapshotQPS float64
-	// Speedup is SnapshotQPS / MutexQPS.
-	Speedup float64
 	// MaxStaleness is the largest number of accepted-but-unpublished
 	// observations any predictor saw (bounded by queue capacity + batch).
 	MaxStaleness int64
@@ -35,8 +31,8 @@ type ConcurrencyRow struct {
 // concurrencyGoroutines are the predictor parallelism steps.
 var concurrencyGoroutines = []int{1, 2, 4, 8}
 
-// concurrencyModel pre-trains one MLQ on the surface so both contenders
-// start from the same realistic tree (compression pressure included).
+// concurrencyModel pre-trains one MLQ on the surface so every step starts
+// from the same realistic tree (compression pressure included).
 func concurrencyModel(surface *synthetic.Surface, opts Options) (*core.MLQ, error) {
 	m, err := core.NewMLQ(opts.mlqConfig(MLQE, surface.Region()))
 	if err != nil {
@@ -58,13 +54,11 @@ func concurrencyModel(surface *synthetic.Surface, opts Options) (*core.MLQ, erro
 func measureThroughput(n, perG int, region geom.Rect, seed int64, predict func(geom.Point) (float64, bool), feed func(done <-chan struct{})) float64 {
 	done := make(chan struct{})
 	var feedWG sync.WaitGroup
-	if feed != nil {
-		feedWG.Add(1)
-		go func() {
-			defer feedWG.Done()
-			feed(done)
-		}()
-	}
+	feedWG.Add(1)
+	go func() {
+		defer feedWG.Done()
+		feed(done)
+	}()
 	var wg sync.WaitGroup
 	start := time.Now()
 	for g := 0; g < n; g++ {
@@ -88,11 +82,8 @@ func measureThroughput(n, perG int, region geom.Rect, seed int64, predict func(g
 }
 
 // Concurrency measures how prediction throughput scales with reader
-// parallelism under a live feedback loop, comparing the two concurrency
-// models the core package offers: a mutex around the tree versus lock-free
-// reads of a published snapshot with batched writes. The workload per cell is
-// identical — only the synchronization differs — so the ratio isolates the
-// cost of lock contention on the Predict hot path.
+// parallelism under a live feedback loop: lock-free reads of a published
+// snapshot while an observer's writes are batched behind them.
 func Concurrency(opts Options) ([]ConcurrencyRow, error) {
 	opts = opts.withDefaults()
 	surface, err := synthetic.Generate(synthetic.Config{Seed: opts.Seed})
@@ -106,40 +97,11 @@ func Concurrency(opts Options) ([]ConcurrencyRow, error) {
 
 	var rows []ConcurrencyRow
 	for _, n := range concurrencyGoroutines {
-		// Baseline: mutex-wrapped model, observer contends with readers.
-		baseModel, err := concurrencyModel(surface, opts)
+		model, err := concurrencyModel(surface, opts)
 		if err != nil {
 			return nil, err
 		}
-		locked := core.NewSynchronized(baseModel)
-		feedSrc := dist.NewUniform(region, opts.Seed+13)
-		// feedErr is written only by the feed goroutine and read after
-		// measureThroughput returns (which waits for it), so no lock is needed.
-		var feedErr error
-		mutexQPS := measureThroughput(n, perG, region, opts.Seed+1, locked.Predict, func(done <-chan struct{}) {
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				p := feedSrc.Next()
-				if err := locked.Observe(p, surface.Cost(p)); err != nil {
-					feedErr = err
-					return
-				}
-			}
-		})
-		if feedErr != nil {
-			return nil, feedErr
-		}
-
-		// Contender: snapshot publisher, same pre-trained tree and workload.
-		pubModel, err := concurrencyModel(surface, opts)
-		if err != nil {
-			return nil, err
-		}
-		pub, err := core.NewPublisher(pubModel, core.PublisherConfig{})
+		pub, err := core.NewPublisher(model, core.PublisherConfig{})
 		if err != nil {
 			return nil, err
 		}
@@ -147,7 +109,10 @@ func Concurrency(opts Options) ([]ConcurrencyRow, error) {
 			pub.Instrument(opts.Telemetry, telemetry.L("experiment", "concurrency"))
 		}
 		var maxStale atomic.Int64
-		pubFeedSrc := dist.NewUniform(region, opts.Seed+13)
+		feedSrc := dist.NewUniform(region, opts.Seed+13)
+		// feedErr is written only by the feed goroutine and read after
+		// measureThroughput returns (which waits for it), so no lock is needed.
+		var feedErr error
 		snapshotQPS := measureThroughput(n, perG, region, opts.Seed+1, func(p geom.Point) (float64, bool) {
 			s := pub.Staleness()
 			for {
@@ -164,7 +129,7 @@ func Concurrency(opts Options) ([]ConcurrencyRow, error) {
 					return
 				default:
 				}
-				p := pubFeedSrc.Next()
+				p := feedSrc.Next()
 				if err := pub.Observe(p, surface.Cost(p)); err != nil {
 					feedErr = err
 					return
@@ -182,17 +147,12 @@ func Concurrency(opts Options) ([]ConcurrencyRow, error) {
 			return nil, err
 		}
 
-		row := ConcurrencyRow{
+		rows = append(rows, ConcurrencyRow{
 			Goroutines:   n,
-			MutexQPS:     mutexQPS,
 			SnapshotQPS:  snapshotQPS,
 			MaxStaleness: maxStale.Load(),
 			FinalEpoch:   epoch,
-		}
-		if mutexQPS > 0 {
-			row.Speedup = snapshotQPS / mutexQPS
-		}
-		rows = append(rows, row)
+		})
 	}
 	return rows, nil
 }

@@ -349,22 +349,19 @@ func RenderChaos(rows []ChaosCell) []Table {
 }
 
 // RenderConcurrency renders the concurrency experiment: prediction throughput
-// of the mutex baseline and the snapshot publisher as reader parallelism
-// grows, plus the publisher's staleness bound in practice. Throughputs are
-// wall-clock measurements and vary with the machine; the speedup column is
-// the figure of merit.
+// of the snapshot publisher as reader parallelism grows, plus its staleness
+// bound in practice. Throughputs are wall-clock measurements and vary with
+// the machine.
 func RenderConcurrency(rows []ConcurrencyRow) Table {
 	t := Table{
 		Title: "Concurrency: prediction throughput, N predictors + 1 observer\n" +
-			"(mutex = core.Synchronized baseline; snapshot = core.Publisher epoch publishing)",
-		Header: []string{"goroutines", "mutex-qps", "snapshot-qps", "speedup", "max-staleness", "epochs"},
+			"(snapshot = core.Publisher epoch publishing)",
+		Header: []string{"goroutines", "snapshot-qps", "max-staleness", "epochs"},
 	}
 	for _, r := range rows {
 		t.AddRow(
 			fmt.Sprintf("%d", r.Goroutines),
-			fmt.Sprintf("%.0f", r.MutexQPS),
 			fmt.Sprintf("%.0f", r.SnapshotQPS),
-			fmt.Sprintf("%.2fx", r.Speedup),
 			fmt.Sprintf("%d", r.MaxStaleness),
 			fmt.Sprintf("%d", r.FinalEpoch),
 		)

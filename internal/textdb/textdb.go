@@ -439,73 +439,6 @@ func (db *DB) SearchProximity(words []int, window int) ([]uint32, ExecStats, err
 	return docs, *stats, err
 }
 
-// SearchPhrase returns the documents containing the given words as a
-// contiguous phrase (word i at position p+i for some p). It is the limiting
-// case of proximity search and exercises the positional index hardest.
-func (db *DB) SearchPhrase(words []int) ([]uint32, ExecStats, error) {
-	var docs []uint32
-	stats := new(ExecStats)
-	err := db.run(stats, func() error {
-		if len(words) == 0 {
-			return nil
-		}
-		// positions[doc][i] = sorted positions of words[i] in doc.
-		positions := make(map[uint32][][]uint32)
-		for i, w := range words {
-			list, err := db.postings(w, stats)
-			if err != nil {
-				return err
-			}
-			for _, p := range list {
-				slot, ok := positions[p.Doc]
-				if !ok {
-					slot = make([][]uint32, len(words))
-					positions[p.Doc] = slot
-				}
-				slot[i] = append(slot[i], p.Pos)
-			}
-			stats.CPU += float64(len(list))
-		}
-	candidates:
-		for doc, slot := range positions {
-			for _, ps := range slot {
-				if len(ps) == 0 {
-					continue candidates
-				}
-			}
-			// For each start position of word 0, check the arithmetic
-			// progression via binary search in the other lists.
-			for _, start := range slot[0] {
-				match := true
-				for i := 1; i < len(slot); i++ {
-					want := start + uint32(i)
-					ps := slot[i]
-					lo, hi := 0, len(ps)
-					for lo < hi {
-						mid := (lo + hi) / 2
-						if ps[mid] < want {
-							lo = mid + 1
-						} else {
-							hi = mid
-						}
-						stats.CPU++
-					}
-					if lo >= len(ps) || ps[lo] != want {
-						match = false
-						break
-					}
-				}
-				if match {
-					docs = append(docs, doc)
-					break
-				}
-			}
-		}
-		return nil
-	})
-	return docs, *stats, err
-}
-
 // minSpanWithin reports whether some choice of one position per word fits in
 // a span <= window, using the classic k-way min-span sweep. It also returns
 // the number of comparisons performed, charged as CPU work.

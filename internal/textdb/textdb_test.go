@@ -341,66 +341,3 @@ func TestWordsFromClamping(t *testing.T) {
 		}
 	}
 }
-
-func TestSearchPhraseCorrectness(t *testing.T) {
-	db := smallDB(t)
-	words := []int{0, 1}
-	got, stats, err := db.SearchPhrase(words)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.CPU <= 0 {
-		t.Error("no CPU work recorded")
-	}
-	// Brute force: reconstruct per-doc positions and look for pos, pos+1.
-	var s ExecStats
-	l0, _ := db.Postings(0, &s)
-	l1, _ := db.Postings(1, &s)
-	pos := func(list []Posting) map[uint32]map[uint32]bool {
-		m := make(map[uint32]map[uint32]bool)
-		for _, p := range list {
-			if m[p.Doc] == nil {
-				m[p.Doc] = make(map[uint32]bool)
-			}
-			m[p.Doc][p.Pos] = true
-		}
-		return m
-	}
-	p0, p1 := pos(l0), pos(l1)
-	want := make(map[uint32]bool)
-	for doc, ps := range p0 {
-		for pp := range ps {
-			if p1[doc] != nil && p1[doc][pp+1] {
-				want[doc] = true
-			}
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("phrase found %d docs, brute force %d", len(got), len(want))
-	}
-	for _, d := range got {
-		if !want[d] {
-			t.Fatalf("doc %d not a brute-force phrase match", d)
-		}
-	}
-	// A phrase hit is always a proximity hit at window = len(words).
-	prox, _, _ := db.SearchProximity(words, len(words))
-	proxSet := make(map[uint32]bool, len(prox))
-	for _, d := range prox {
-		proxSet[d] = true
-	}
-	for _, d := range got {
-		if !proxSet[d] {
-			t.Fatalf("phrase hit %d missing from proximity superset", d)
-		}
-	}
-	// Single-word phrase = that word's documents; empty phrase = nothing.
-	one, _, _ := db.SearchPhrase([]int{7})
-	if len(one) != db.DocFreq(7) {
-		t.Errorf("single-word phrase: %d docs, df=%d", len(one), db.DocFreq(7))
-	}
-	none, _, err := db.SearchPhrase(nil)
-	if err != nil || none != nil {
-		t.Error("empty phrase must return nothing, no error")
-	}
-}
